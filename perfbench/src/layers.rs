@@ -2,14 +2,15 @@
 //! own generated inputs through one layer's public functions and times the
 //! call from outside, or reads a counter the program already exports.
 
-use crate::load::Request;
+use crate::load::{Kind, Request};
 use crate::plane::{self, Plane};
-use crate::stats::{median, percentile, quiet};
+use crate::stats::{median, percentile};
 use crate::wire::Client;
-use crate::workloads::Measured;
+use crate::workloads::{Measured, Workload};
 use crate::{Metric, Sizes};
 use std::hint::black_box;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 use templar_api::binary;
 use templar_api::{RequestBody, TranslateRequest};
@@ -57,27 +58,95 @@ fn bag_of(configuration: &Configuration) -> Vec<BagItem> {
         .collect()
 }
 
-/// Print whether a breakdown sum explains its end-to-end figure.
-fn report_sum(what: &str, total: f64, parts: f64, residual: f64, bound: f64) {
-    let verdict = if residual <= bound {
-        "holds"
-    } else {
-        "does not hold"
-    };
-    println!(
-        "perfbench: breakdown of {what}: {total:.1} vs layers {parts:.1}, residual {residual:.3} \
-         (bound {bound}) {verdict}"
-    );
+/// Run `f` while `extra` closed-loop clients replay the run's
+/// translations over their own connections, as the window's other clients
+/// did, so that `f`'s calls share the cores the way one client's requests
+/// shared them in the window.
+fn under_load<R>(
+    plane: &Plane,
+    catalog: &[Request],
+    extra: usize,
+    f: impl FnOnce() -> Result<R, String>,
+) -> Result<R, String> {
+    let stop = AtomicBool::new(false);
+    let addr = plane.server.local_addr();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..extra)
+            .map(|_| {
+                scope.spawn(|| -> Result<(), String> {
+                    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+                    let translations = catalog.iter().filter(|r| r.kind == Kind::Translate);
+                    for request in translations.cycle() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        client
+                            .roundtrip(&request.encoded)
+                            .map_err(|e| e.to_string())?;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        let result = f();
+        stop.store(true, Ordering::Relaxed);
+        for client in clients {
+            client.join().expect("load client panicked")?;
+        }
+        result
+    })
 }
 
-/// Time every probe; `translate_p50_us` is the traced run's own socket p50.
+/// The pipeline (`translate_with_config`) and its two TEMPLAR calls on one
+/// request, µs: translate, map keywords, and the top configurations'
+/// `infer_joins`.
+fn pipeline(templar: &Templar, request: &TranslateRequest) -> [f64; 3] {
+    let config = request.overrides.apply(templar.config());
+    let started = Instant::now();
+    black_box(nlidb::translate_with_config(templar, &request.keywords, &config).ok());
+    let t_translate = us(started);
+    let started = Instant::now();
+    let (configurations, _) = templar.map_keywords_with_stats(&request.keywords, &config);
+    let t_map = us(started);
+    let mut t_joins = 0.0;
+    for configuration in configurations.iter().take(CONFIGS_PER_QUERY) {
+        let bag = bag_of(configuration);
+        if !bag.is_empty() {
+            let started = Instant::now();
+            black_box(templar.infer_joins_with(&bag, &config).ok());
+            t_joins += us(started);
+        }
+    }
+    [t_translate, t_map, t_joins]
+}
+
+/// Check that a breakdown sum explains its end-to-end figure: the residual,
+/// as a share of `total`, or an error when it exceeds `bound`.
+fn check_sum(what: &str, total: f64, parts: f64, bound: f64) -> Result<f64, String> {
+    let residual = (total - parts).abs() / total.max(f64::MIN_POSITIVE);
+    let verdict = format!(
+        "breakdown of {what}: {total:.1} vs layers {parts:.1}, residual {residual:.3} (bound {bound})"
+    );
+    if residual > bound {
+        return Err(format!("{verdict} does not hold"));
+    }
+    println!("perfbench: {verdict} holds");
+    Ok(residual)
+}
+
+/// Time every probe.  Each breakdown sum is checked on the workload its
+/// end-to-end figure belongs to, and its residual reads 0 elsewhere:
+/// - the translate sum on `cold_translate`, whose every request runs the
+///   pipeline.  Its total is the socket p50 of the sampled requests, each
+///   timed beside its layer calls while the window's other client keeps
+///   loading the server, so both sides see the machine at the same speed;
+/// - the restart sum on `durable_ingest`, whose restart replays a 100x log.
 pub fn probe(
     plane: &Plane,
     measured: &Measured,
     sizes: &Sizes,
     work: &Path,
-    translate_p50_us: f64,
-    check_translate_sum: bool,
+    workload: Workload,
 ) -> Result<Vec<Metric>, String> {
     let mut out = Vec::new();
     // The restart breakdown below must see the directory `recover_s` was
@@ -93,48 +162,62 @@ pub fn probe(
         })
         .collect();
 
-    // server, service.registry and tracing overhead: the same body over the
-    // socket, through admit_and_dispatch, and through translate_request.
-    let mut client = Client::connect(plane.server.local_addr()).map_err(|e| e.to_string())?;
-    let (mut server_self, mut registry_self) = (Vec::new(), Vec::new());
-    let (mut plain, mut traced) = (Vec::new(), Vec::new());
-    for (n, &(Request { body, encoded, .. }, request)) in requests.iter().enumerate() {
-        let service = &plane.tenant(&request.tenant).service;
-        let traced_body =
-            crate::wire::encode_body(&RequestBody::Translate(request.clone().with_trace()));
-        if !request.bypass_cache {
-            // Time the cached path the load saw, not a first miss.
-            let _ = plane.registry.admit_and_dispatch(body);
+    // server, service.registry, tracing overhead and the pipeline, in one
+    // step per request: the same body over the socket, through
+    // admit_and_dispatch and translate_request, and the pipeline's calls.
+    let extra_clients = workload.clients() - 1;
+    let paths = under_load(plane, &measured.catalog, extra_clients, || {
+        let mut client = Client::connect(plane.server.local_addr()).map_err(|e| e.to_string())?;
+        let mut timed = Vec::with_capacity(requests.len());
+        for (n, &(Request { body, encoded, .. }, request)) in requests.iter().enumerate() {
+            let service = &plane.tenant(&request.tenant).service;
+            let traced_body =
+                crate::wire::encode_body(&RequestBody::Translate(request.clone().with_trace()));
+            if !request.bypass_cache {
+                // Time the cached path the load saw, not a first miss.
+                let _ = plane.registry.admit_and_dispatch(body);
+            }
+            let mut socket = |encoded: &[u8]| -> Result<f64, String> {
+                let started = Instant::now();
+                client.roundtrip(encoded).map_err(|e| e.to_string())?;
+                Ok(us(started))
+            };
+            let registry = || {
+                let started = Instant::now();
+                black_box(plane.registry.admit_and_dispatch(body).ok());
+                us(started)
+            };
+            let direct = || {
+                let started = Instant::now();
+                black_box(service.translate_request(request).ok());
+                us(started)
+            };
+            let (t_socket, t_registry, t_direct) = if n % 2 == 0 {
+                (socket(encoded)?, registry(), direct())
+            } else {
+                let d = direct();
+                let r = registry();
+                (socket(encoded)?, r, d)
+            };
+            let t_traced = socket(&traced_body)?;
+            let [t_translate, t_map, t_joins] = pipeline(&service.snapshot(), request);
+            timed.push([
+                t_socket - t_registry,
+                t_registry - t_direct,
+                t_socket,
+                t_traced,
+                t_translate,
+                t_map,
+                t_joins,
+                t_translate - t_map - t_joins,
+            ]);
         }
-        let mut socket = || -> Result<f64, String> {
-            let started = Instant::now();
-            client.roundtrip(encoded).map_err(|e| e.to_string())?;
-            Ok(us(started))
-        };
-        let registry = || {
-            let started = Instant::now();
-            black_box(plane.registry.admit_and_dispatch(body).ok());
-            us(started)
-        };
-        let direct = || {
-            let started = Instant::now();
-            black_box(service.translate_request(request).ok());
-            us(started)
-        };
-        let (t_socket, t_registry, t_direct) = if n % 2 == 0 {
-            (socket()?, registry(), direct())
-        } else {
-            let d = direct();
-            let r = registry();
-            (socket()?, r, d)
-        };
-        server_self.push(t_socket - t_registry);
-        registry_self.push(t_registry - t_direct);
-        plain.push(t_socket);
-        let started = Instant::now();
-        client.roundtrip(&traced_body).map_err(|e| e.to_string())?;
-        traced.push(us(started));
-    }
+        Ok(timed)
+    })?;
+    let column = |i: usize| -> Vec<f64> { paths.iter().map(|p| p[i]).collect() };
+    let (server_self, registry_self) = (column(0), column(1));
+    let (plain, traced) = (column(2), column(3));
+    let (translate, map, joins, construct) = (column(4), column(5), column(6), column(7));
     let server_overhead = median(&server_self);
     let registry_dispatch = median(&registry_self);
     out.push(Metric::new("server.overhead_p50_us", server_overhead, "us"));
@@ -238,31 +321,8 @@ pub fn probe(
         "us",
     ));
 
-    // nlidb + core: the pipeline and its two TEMPLAR calls, per question.
-    let (mut translate, mut map, mut joins, mut construct) = (vec![], vec![], vec![], vec![]);
-    for &(_, request) in &requests {
-        let templar = plane.tenant(&request.tenant).service.snapshot();
-        let config = request.overrides.apply(templar.config());
-        let started = Instant::now();
-        black_box(nlidb::translate_with_config(&templar, &request.keywords, &config).ok());
-        let t_translate = us(started);
-        let started = Instant::now();
-        let (configurations, _) = templar.map_keywords_with_stats(&request.keywords, &config);
-        let t_map = us(started);
-        let mut t_joins = 0.0;
-        for configuration in configurations.iter().take(CONFIGS_PER_QUERY) {
-            let bag = bag_of(configuration);
-            if !bag.is_empty() {
-                let started = Instant::now();
-                black_box(templar.infer_joins_with(&bag, &config).ok());
-                t_joins += us(started);
-            }
-        }
-        translate.push(t_translate);
-        map.push(t_map);
-        joins.push(t_joins);
-        construct.push(t_translate - t_map - t_joins);
-    }
+    // nlidb + core: the pipeline and its two TEMPLAR calls (timed in the
+    // loop above, beside the same request's socket round trip).
     let nlidb_translate = median(&translate);
     out.push(Metric::new("nlidb.translate_p50_us", nlidb_translate, "us"));
     out.push(Metric::new("core.map_keywords_p50_us", median(&map), "us"));
@@ -308,18 +368,16 @@ pub fn probe(
         ratio(phrase_hits, phrase_hits + phrase_misses),
         "ratio",
     ));
-    let translate_sum = server_overhead + registry_dispatch + nlidb_translate;
-    let residual =
-        (translate_p50_us - translate_sum).abs() / translate_p50_us.max(f64::MIN_POSITIVE);
-    if check_translate_sum {
-        report_sum(
+    let residual = if workload == Workload::ColdTranslate {
+        check_sum(
             "translate p50",
-            translate_p50_us,
-            translate_sum,
-            residual,
+            median(&plain),
+            server_overhead + registry_dispatch + nlidb_translate,
             TRANSLATE_RESIDUAL_BOUND,
-        );
-    }
+        )?
+    } else {
+        0.0
+    };
     out.push(Metric::new(
         "bench.breakdown_translate_residual",
         residual,
@@ -397,12 +455,12 @@ pub fn probe(
     let penalty_us = measured.load.elapsed_s * 1e6;
     out.push(Metric::new(
         "ingest.ack_p50_us",
-        acks.windowed(0.5, penalty_us, measured.windows),
+        acks.percentile(0.5, penalty_us),
         "us",
     ));
     out.push(Metric::new(
         "ingest.ack_p90_us",
-        acks.windowed(crate::TAIL, penalty_us, measured.windows),
+        acks.percentile(0.9, penalty_us),
         "us",
     ));
 
@@ -459,11 +517,11 @@ pub fn probe(
     out.push(Metric::new("wal.crc_mb_per_s", median(&crc_rates), "MB/s"));
 
     // service.snapshot and the restart breakdown: the three phases of
-    // `recover`, each on a fresh copy of the live durable directory.
+    // `recover`, repeated on a copy of the live durable directory.
     let obscurity = TemplarConfig::paper_defaults().obscurity;
     let snapshot_path = copy.join(templar_service::SNAPSHOT_FILE);
     let (mut read_ms, mut replay_ms, mut build_ms, mut write_ms) = (vec![], vec![], vec![], vec![]);
-    for rep in 0..sizes.recover_reps {
+    sizes.repeat(|rep| {
         let started = Instant::now();
         let (snap, watermark) =
             read_snapshot_with_watermark(&snapshot_path, obscurity).map_err(|e| e.to_string())?;
@@ -505,21 +563,23 @@ pub fn probe(
         )
         .map_err(|e| e.to_string())?;
         write_ms.push(ms(started));
-    }
+        Ok((read_ms[rep] + replay_ms[rep] + build_ms[rep]) / 1e3)
+    })?;
     let (read, replay, build) = (median(&read_ms), median(&replay_ms), median(&build_ms));
     out.push(Metric::new("wal.replay_ms", replay, "ms"));
     out.push(Metric::new("core.templar_build_ms", build, "ms"));
     out.push(Metric::new("snapshot.read_ms", read, "ms"));
     out.push(Metric::new("snapshot.write_ms", median(&write_ms), "ms"));
-    let recover_ms = quiet(&measured.recover_s) * 1e3;
-    let residual = (recover_ms - (read + replay + build)).abs() / recover_ms.max(f64::MIN_POSITIVE);
-    report_sum(
-        "recover",
-        recover_ms,
-        read + replay + build,
-        residual,
-        RECOVER_RESIDUAL_BOUND,
-    );
+    let residual = if workload == Workload::DurableIngest {
+        check_sum(
+            "recover",
+            median(&measured.recover_s) * 1e3,
+            read + replay + build,
+            RECOVER_RESIDUAL_BOUND,
+        )?
+    } else {
+        0.0
+    };
     out.push(Metric::new(
         "bench.breakdown_recover_residual",
         residual,

@@ -111,11 +111,12 @@ impl Outcome {
         self.errors.extend(other.errors);
     }
 
+    /// Account one request, sent (or due) `at_s` seconds into the window.
     fn record(
         &mut self,
         request: &Request,
         payload: Option<&[u8]>,
-        at_ns: u64,
+        at_s: f64,
         latency_us: f64,
         check: &Check,
     ) {
@@ -128,7 +129,7 @@ impl Outcome {
         match verdict {
             Verdict::Ok => {
                 tally.ok += 1;
-                tally.latency.push(at_ns, latency_us);
+                tally.latency.push(at_s, latency_us);
                 return;
             }
             Verdict::Shed => tally.shed += 1,
@@ -149,20 +150,18 @@ impl Outcome {
                 }
             }
         }
-        tally.latency.push_failure(at_ns);
+        tally.latency.push_failure(at_s);
     }
 }
 
 /// One closed-loop connection per entry of `sequences`, client `c` sending
 /// `sequences[c]` (indices into `catalog`): cycling until `seconds` have
-/// passed, or once through when `seconds` is `None`.  Completions are
-/// stamped in ns since `origin`.
+/// passed, or once through when `seconds` is `None`.
 pub fn closed_loop(
     addr: SocketAddr,
     catalog: &[Request],
     sequences: &[Vec<usize>],
     seconds: Option<f64>,
-    origin: Instant,
     check: &Check,
 ) -> Result<Outcome, String> {
     let window = seconds.map(Duration::from_secs_f64);
@@ -187,8 +186,8 @@ pub fn closed_loop(
                         let sent = Instant::now();
                         let payload = client.roundtrip(&request.encoded).ok();
                         let latency_us = sent.elapsed().as_secs_f64() * 1e6;
-                        let at_ns = origin.elapsed().as_nanos() as u64;
-                        outcome.record(request, payload.as_deref(), at_ns, latency_us, check);
+                        let at_s = (sent - started).as_secs_f64();
+                        outcome.record(request, payload.as_deref(), at_s, latency_us, check);
                         if payload.is_none() {
                             break;
                         }
@@ -275,14 +274,15 @@ pub fn open_loop(
                 answered[id - 1] = true;
                 let request = &catalog[index];
                 let latency_us = done_ns.saturating_sub(due_ns) as f64 / 1e3;
-                outcome.record(request, Some(&payload), due_ns, latency_us, check);
+                let at_s = due_ns as f64 / 1e9;
+                outcome.record(request, Some(&payload), at_s, latency_us, check);
                 if request.kind == Kind::Translate {
                     outcome.translations.push(Completed { due_ns, done_ns });
                 }
             }
             // Whatever never came back counts as failed.
             for (&(due_ns, index), _) in schedule.iter().zip(&answered).filter(|(_, &a)| !a) {
-                outcome.record(&catalog[index], None, due_ns, 0.0, check);
+                outcome.record(&catalog[index], None, due_ns as f64 / 1e9, 0.0, check);
             }
             outcome
         });

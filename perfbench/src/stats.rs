@@ -93,39 +93,24 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(&sorted, 0.5)
 }
 
-/// Which quantile of repeated timings of one thing a run reports.  The
-/// machine's other tenants only ever add time, in episodes lasting seconds,
-/// so the quieter repetitions show the program and the louder ones the
-/// host; the lower quartile keeps the former without resting on the single
-/// luckiest repetition.
-pub const QUIET: f64 = 0.25;
+/// Length of the slices a window is cut into for [`Latencies::sliced`].
+const SLICE_S: f64 = 1.0;
 
-/// The [`QUIET`] quantile of repeated timings (sub-windows, checkpoints,
-/// restarts, set-ups).
-pub fn quiet(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    percentile(&sorted, QUIET)
-}
-
-/// A latency sample: (when, in ns from the window start; µs), a failure
-/// recorded as an infinite latency — it misses every latency limit.
+/// Latency samples in µs, each with the time it was taken (seconds into
+/// the window).  A failure is recorded as an infinite latency: it misses
+/// every latency limit.
 #[derive(Default, Clone)]
 pub struct Latencies {
-    samples: Vec<(u64, f64)>,
+    samples: Vec<(f64, f64)>,
 }
 
-/// Sub-windows a run is cut into by default; a stall of the machine lands
-/// in few of them, and the lower quartile across windows ignores it.
-pub const MAX_WINDOWS: usize = 10;
-
 impl Latencies {
-    pub fn push(&mut self, at_ns: u64, us: f64) {
-        self.samples.push((at_ns, us));
+    pub fn push(&mut self, at_s: f64, us: f64) {
+        self.samples.push((at_s, us));
     }
 
-    pub fn push_failure(&mut self, at_ns: u64) {
-        self.samples.push((at_ns, f64::INFINITY));
+    pub fn push_failure(&mut self, at_s: f64) {
+        self.samples.push((at_s, f64::INFINITY));
     }
 
     pub fn merge(&mut self, other: &Latencies) {
@@ -148,46 +133,37 @@ impl Latencies {
         percentile(&all, p)
     }
 
-    /// The lower quartile, over up to `max_windows` consecutive sub-windows
-    /// of the run, of percentile `p` within each window (see [`QUIET`]).
-    /// Windows hold equal numbers of samples, and at least ten lie beyond
-    /// `p` in each.
-    pub fn windowed(&self, p: f64, penalty_us: f64, max_windows: usize) -> f64 {
-        let beyond = self.samples.len() as f64 * (1.0 - p);
-        let windows = ((beyond / 10.0) as usize).clamp(1, max_windows.max(1));
-        let mut ordered = self.samples.clone();
-        ordered.sort_by_key(|&(at, _)| at);
-        let size = ordered.len().div_ceil(windows).max(1);
-        let per_window: Vec<f64> = ordered
-            .chunks(size)
-            .map(|chunk| {
-                Latencies {
-                    samples: chunk.to_vec(),
-                }
-                .percentile(p, penalty_us)
-            })
-            .collect();
-        quiet(&per_window)
-    }
-
-    /// The upper quartile, over `MAX_WINDOWS` equal slices of
-    /// `[0, span_ns)`, of successes per second within each slice (the
-    /// quiet slices are the fast ones; see [`QUIET`]).
-    pub fn windowed_rate(&self, span_ns: u64) -> f64 {
-        let slice = (span_ns / MAX_WINDOWS as u64).max(1);
-        let mut counts = [0u64; MAX_WINDOWS];
-        for &(at, us) in &self.samples {
-            if us.is_finite() {
-                counts[((at / slice) as usize).min(MAX_WINDOWS - 1)] += 1;
+    /// The window's whole [`SLICE_S`] slices, each slice's samples in the
+    /// order they were pushed.  A window shorter than one slice is one
+    /// slice.
+    fn slices(&self, window_s: f64) -> Vec<Vec<f64>> {
+        let count = ((window_s / SLICE_S) as usize).max(1);
+        let mut slices = vec![Vec::new(); count];
+        for &(at_s, us) in &self.samples {
+            let slice = (at_s / SLICE_S).max(0.0) as usize;
+            if let Some(slice) = slices.get_mut(slice) {
+                slice.push(us);
             }
         }
-        let rates: Vec<f64> = counts
-            .iter()
-            .map(|&c| c as f64 / (slice as f64 / 1e9))
+        slices
+    }
+
+    /// Median over the window's slices of each slice's percentile `p`
+    /// (failures at `penalty_us`).  The machine's speed swings from second
+    /// to second; a whole-run percentile follows the share of the run spent
+    /// slow, the median slice follows the typical second.
+    pub fn sliced(&self, p: f64, penalty_us: f64, window_s: f64) -> f64 {
+        let per_slice: Vec<f64> = self
+            .slices(window_s)
+            .into_iter()
+            .filter(|slice| !slice.is_empty())
+            .map(|slice| {
+                let mut slice: Vec<f64> = slice.into_iter().map(|us| us.min(penalty_us)).collect();
+                slice.sort_by(f64::total_cmp);
+                percentile(&slice, p)
+            })
             .collect();
-        let mut sorted = rates;
-        sorted.sort_by(f64::total_cmp);
-        percentile(&sorted, 1.0 - QUIET)
+        median(&per_slice)
     }
 }
 
@@ -218,27 +194,30 @@ mod tests {
     #[test]
     fn failures_rank_above_successes() {
         let mut lat = Latencies::default();
-        for (at, us) in [(0, 1.0), (1, 2.0), (2, 3.0)] {
-            lat.push(at, us);
+        for us in [1.0, 2.0, 3.0] {
+            lat.push(0.0, us);
         }
-        lat.push_failure(3);
+        lat.push_failure(0.0);
         assert_eq!(lat.percentile(1.0, 1e9), 1e9);
         assert_eq!(lat.percentile(0.0, 1e9), 1.0);
     }
 
     #[test]
-    fn windowed_percentile_ignores_one_stalled_window() {
+    fn slices_take_the_median_second() {
         let mut lat = Latencies::default();
-        for i in 0..10_000u64 {
-            // One tenth of the run, contiguous, is ten times slower.
-            let us = if (3_000..4_000).contains(&i) {
-                1_000.0
-            } else {
-                100.0 + (i % 100) as f64
-            };
-            lat.push(i, us);
+        // Two fast seconds and one slow one; a sample past the window is
+        // left out.
+        for (at_s, us) in [
+            (0.1, 10.0),
+            (0.5, 20.0),
+            (1.2, 12.0),
+            (1.9, 14.0),
+            (2.5, 900.0),
+            (3.5, 1.0),
+        ] {
+            lat.push(at_s, us);
         }
-        assert!(lat.percentile(0.99, 1e9) >= 1_000.0);
-        assert!(lat.windowed(0.99, 1e9, MAX_WINDOWS) < 200.0);
+        lat.push_failure(2.7);
+        assert_eq!(lat.sliced(1.0, 1e9, 3.0), 20.0);
     }
 }

@@ -1,13 +1,13 @@
-//! The three workloads: what each sends, how its answers are checked, and
+//! The two workloads: what each sends, how its answers are checked, and
 //! what it measures around the load (set-up, accuracy, checkpoint and
 //! restart).
 
 use crate::load::{self, Check, Kind, Outcome, Request};
 use crate::plane::{self, Plane, PlaneSpec, Tenant};
-use crate::stats::{quiet, Latencies, Rng, Zipf, MAX_WINDOWS};
+use crate::stats::{median, Latencies, Rng, Zipf};
 use crate::Sizes;
 use nlidb::translate_with_config;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use templar_api::{RequestBody, ResponseBody, TranslateRequest, TranslateResponse};
@@ -17,7 +17,6 @@ use templar_service::{wal, MetricsSnapshot, TemplarService, SNAPSHOT_FILE, WAL_D
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
     ColdTranslate,
-    ZipfRepeat,
     DurableIngest,
 }
 
@@ -25,9 +24,16 @@ impl Workload {
     pub fn parse(name: &str) -> Option<Workload> {
         match name {
             "cold_translate" => Some(Workload::ColdTranslate),
-            "zipf_repeat" => Some(Workload::ZipfRepeat),
             "durable_ingest" => Some(Workload::DurableIngest),
             _ => None,
+        }
+    }
+
+    /// Client connections the window drives the server with.
+    pub fn clients(self) -> usize {
+        match self {
+            Workload::ColdTranslate => 2,
+            Workload::DurableIngest => 1,
         }
     }
 
@@ -37,7 +43,7 @@ impl Workload {
                 all_datasets: false,
                 mas_scale: sizes.durable_scale,
             },
-            _ => PlaneSpec {
+            Workload::ColdTranslate => PlaneSpec {
                 all_datasets: true,
                 mas_scale: 1,
             },
@@ -47,45 +53,23 @@ impl Workload {
 
 const RANK_ORDER_SEED: u64 = 0x5EED_2A4C;
 
-/// SubmitSql/Feedback sent back to back before the ingest queue is drained.
-const BURST_CHUNK: usize = 500;
-
-/// Per-request override variants of the Zipf key space: λ × top-k.
-const LAMBDAS: [Option<f64>; 8] = [
-    None,
-    Some(0.5),
-    Some(0.6),
-    Some(0.65),
-    Some(0.7),
-    Some(0.75),
-    Some(0.85),
-    Some(0.95),
-];
-const TOP_KS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(5)];
-
 /// Everything one run measured, for the end-to-end report and the traced
 /// per-layer probes.
 pub struct Measured {
     pub setup_s: f64,
     /// The timed window.
     pub load: Outcome,
-    /// The SubmitSql/Feedback acknowledgements: part of the timed window on
-    /// `durable_ingest`, a closed-loop burst after it on the others.
-    pub submits: Outcome,
     pub top1_accuracy: f64,
     pub checkpoint_s: Vec<f64>,
     pub checkpoint_stall: Latencies,
     pub snapshot_bytes: f64,
     pub recover_s: Vec<f64>,
     pub ingest_lag_max: u64,
-    /// Sub-windows the latency percentiles are taken over (see
-    /// `Latencies::windowed`).
-    pub windows: usize,
     /// Every request the run sent, and a sample of its translations for the
     /// per-layer probes (indices into `catalog`).
     pub catalog: Vec<Request>,
     pub translate_sample: Vec<usize>,
-    /// The SQL the run ingested.
+    /// The SQL the run ingested (none on the read-only workloads).
     pub sql: Vec<String>,
     pub counters: Counters,
 }
@@ -122,8 +106,8 @@ fn counted<T>(
     ))
 }
 
-/// Set the plane up several times from nothing and keep the last; the
-/// [`quiet`] set-up time is the `setup_s` metric.
+/// Set the plane up several times from nothing (see `Sizes::repeat`) and
+/// keep the last; the median set-up time is the `setup_s` metric.
 pub fn set_up(
     workload: Workload,
     sizes: &Sizes,
@@ -131,16 +115,14 @@ pub fn set_up(
     work: &Path,
     process_start: Instant,
 ) -> Result<(Plane, f64), String> {
-    let mut times = Vec::new();
-    let mut plane = None;
-    // The durable workload's set-up is thirty times longer; three suffice.
-    let reps = match workload {
-        Workload::DurableIngest => sizes.setup_reps.min(3),
-        _ => sizes.setup_reps,
-    };
-    for rep in 0..reps {
+    let mut plane: Option<Plane> = None;
+    let times = sizes.repeat(|rep| {
         // Tear the previous plane down before timing the next.
-        drop(plane.take());
+        if let Some(old) = plane.take() {
+            let dir = old.durable_dir.clone();
+            drop(old);
+            let _ = std::fs::remove_dir_all(dir);
+        }
         let started = if rep == 0 {
             process_start
         } else {
@@ -151,10 +133,11 @@ pub fn set_up(
             seed,
             &work.join(format!("durable-{rep}")),
         )?;
-        times.push(started.elapsed().as_secs_f64());
+        let secs = started.elapsed().as_secs_f64();
         plane = Some(built);
-    }
-    Ok((plane.expect("at least one set-up"), quiet(&times)))
+        Ok(secs)
+    })?;
+    Ok((plane.expect("at least one set-up"), median(&times)))
 }
 
 pub fn run(
@@ -167,7 +150,6 @@ pub fn run(
 ) -> Result<Measured, String> {
     match workload {
         Workload::ColdTranslate => cold_translate(plane, sizes, seed, seconds, work),
-        Workload::ZipfRepeat => zipf_repeat(plane, sizes, seed, seconds, work),
         Workload::DurableIngest => durable_ingest(plane, sizes, seed, seconds, work),
     }
 }
@@ -285,109 +267,20 @@ fn cold_translate(
             &catalog,
             &[order, shifted],
             Some(seconds),
-            Instant::now(),
             &no_check,
         )
     })?;
     let mut measured = Measured::new(load, catalog, translate_sample, top1, counters);
-    durability_epilogue(plane, sizes, seed, work, &mut measured)?;
+    durability_epilogue(plane, sizes, work, &mut measured)?;
     Ok(measured)
 }
 
-/// Which key holds which Zipf rank.  Fixed, not drawn from the run's seed:
-/// the seed varies the draws, while every run keeps the same hot set, so a
-/// seed cannot shift the cache's working set between tenants.
+/// Which question holds which Zipf rank.  Fixed, not drawn from the run's
+/// seed: the seed varies the draws, while every run keeps the same hot set.
 fn rank_order(keys: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..keys).collect();
     Rng::new(RANK_ORDER_SEED).shuffle(&mut order);
     order
-}
-
-/// `zipf_repeat`: open loop at `sizes.zipf_rate`, Zipf(1) over the 449
-/// questions × the override variants, through the translation cache.
-fn zipf_repeat(
-    plane: &Plane,
-    sizes: &Sizes,
-    seed: u64,
-    seconds: f64,
-    work: &Path,
-) -> Result<Measured, String> {
-    let questions = questions(plane);
-    let variants: Vec<(Option<f64>, Option<usize>)> = LAMBDAS
-        .iter()
-        .flat_map(|&l| TOP_KS.iter().map(move |&k| (l, k)))
-        .take(sizes.variants)
-        .collect();
-    let keys = questions.len() * variants.len();
-    let by_rank = rank_order(keys);
-    let zipf = Zipf::new(keys);
-    let count = (sizes.zipf_rate * seconds).ceil() as usize;
-    let schedule =
-        load::poisson_schedule(&mut Rng::derive(seed, 3), sizes.zipf_rate, count, |rng| {
-            by_rank[zipf.sample(rng)]
-        });
-    let mut warm_rng = Rng::derive(seed, 4);
-    let warm_up: Vec<usize> = (0..sizes.warm_draws)
-        .map(|_| by_rank[zipf.sample(&mut warm_rng)])
-        .collect();
-
-    // Only the keys the window draws get a catalog entry (and a reference).
-    let mut slot = vec![usize::MAX; keys];
-    let mut drawn = Vec::new();
-    for &(_, key) in &schedule {
-        if slot[key] == usize::MAX {
-            slot[key] = drawn.len();
-            drawn.push(key);
-        }
-    }
-    let request_of = |key: usize| {
-        let (tenant, case) = questions[key % questions.len()];
-        let (lambda, top_k) = variants[key / questions.len()];
-        let mut request = translate_request(tenant, case);
-        request.overrides.lambda = lambda;
-        request.overrides.top_k = top_k;
-        (&*tenant.service, request)
-    };
-    let jobs: Vec<_> = drawn.iter().map(|&k| request_of(k)).collect();
-    let refs = references(&jobs)?;
-    let warm_jobs: Vec<_> = warm_up.iter().map(|&k| request_of(k)).collect();
-    let catalog: Vec<Request> = jobs
-        .iter()
-        .zip(&refs)
-        .map(|((_, request), expected)| {
-            Request::new(
-                Kind::Translate,
-                RequestBody::Translate(request.clone()),
-                Some(expected),
-            )
-        })
-        .collect();
-    let schedule: Vec<(u64, usize)> = schedule.iter().map(|&(due, k)| (due, slot[k])).collect();
-    // Fill the cache the way the same traffic would have, before timing.
-    std::thread::scope(|scope| {
-        for part in warm_jobs.chunks(warm_jobs.len().div_ceil(2).max(1)) {
-            scope.spawn(move || {
-                for (service, request) in part {
-                    let _ = service.translate_request(request);
-                }
-            });
-        }
-    });
-    let tenants: Vec<&Tenant> = plane.tenants.iter().collect();
-    let top1 = top1_accuracy(&tenants);
-    let translate_sample = schedule
-        .iter()
-        .map(|&(_, i)| i)
-        .take(sizes.layer_sample)
-        .collect();
-
-    let ((load, lag, _), counters) = counted(plane, || {
-        open_loop_with_monitor(plane, &catalog, &schedule, &[], &no_check)
-    })?;
-    let mut measured = Measured::new(load, catalog, translate_sample, top1, counters);
-    measured.ingest_lag_max = lag;
-    durability_epilogue(plane, sizes, seed, work, &mut measured)?;
-    Ok(measured)
 }
 
 /// `durable_ingest`: open loop at `sizes.durable_rate` against the durable
@@ -425,7 +318,6 @@ fn durable_ingest(
         &gate,
         &[(0..gate.len()).collect()],
         None,
-        Instant::now(),
         &no_check,
     )?;
     if gated.mismatched() + gated.failed() > 0 {
@@ -491,8 +383,9 @@ fn durable_ingest(
             _ => feedback_base + rng.below(sql.len()),
         },
     );
-    let checkpoints: Vec<f64> = (0..sizes.load_checkpoints)
-        .map(|k| (k as f64 + 0.5) * seconds / sizes.load_checkpoints as f64)
+    let checkpoint_count = ((seconds / sizes.checkpoint_every_s) as usize).max(1);
+    let checkpoints: Vec<f64> = (0..checkpoint_count)
+        .map(|k| (k as f64 + 0.5) * seconds / checkpoint_count as f64)
         .collect();
     let translate_sample = schedule
         .iter()
@@ -517,20 +410,18 @@ fn durable_ingest(
             .iter()
             .any(|&(s, e)| done.due_ns < e && done.done_ns > s)
         {
-            stall.push(done.due_ns, (done.done_ns - done.due_ns) as f64 / 1e3);
+            stall.push(
+                done.due_ns as f64 / 1e9,
+                (done.done_ns - done.due_ns) as f64 / 1e3,
+            );
         }
     }
-    let submits = split_submits(&load);
     let mut measured = Measured::new(load, catalog, translate_sample, top1, counters);
-    measured.submits = submits;
     measured.sql = sql;
     measured.ingest_lag_max = lag;
     measured.checkpoint_s = windows.iter().map(|&(s, e)| (e - s) as f64 / 1e9).collect();
     measured.checkpoint_stall = stall;
-    // One sub-window per checkpoint cycle, so every window holds the same
-    // share of checkpoint time and the windows are alike.
-    measured.windows = sizes.load_checkpoints;
-    durability_epilogue(plane, sizes, seed, work, &mut measured)?;
+    durability_epilogue(plane, sizes, work, &mut measured)?;
     Ok(measured)
 }
 
@@ -543,16 +434,6 @@ fn well_formed(response: &TranslateResponse, tenant: &str) -> bool {
             .candidates
             .iter()
             .all(|c| c.explanation.is_consistent(1e-9))
-}
-
-/// The SubmitSql/Feedback part of an outcome.
-fn split_submits(outcome: &Outcome) -> Outcome {
-    let mut submits = Outcome::default();
-    for kind in [Kind::Submit, Kind::Feedback] {
-        submits.tallies[kind as usize] = outcome.tally(kind).clone();
-    }
-    submits.elapsed_s = outcome.elapsed_s;
-    submits
 }
 
 /// An open-loop outcome, the largest ingest lag seen, and each
@@ -602,84 +483,26 @@ fn open_loop_with_monitor(
     })
 }
 
-/// After the timed window: the durable tenant's write, checkpoint and
-/// restart path.  Where the window carried no writes (`cold_translate`,
-/// `zipf_repeat`) the tenant is sent a closed-loop burst of
-/// SubmitSql/Feedback with idle checkpoints timed part-way, so the restart
-/// below replays a journal tail on every workload.  The restart must answer
-/// the MAS questions exactly as the live service does at its final epoch,
-/// or the run fails.
+/// After the timed window: the durable tenant's checkpoint and restart
+/// path.  Where no checkpoint ran inside the window (`cold_translate`), the
+/// tenant as bootstrapped is checkpointed back to back instead.  The restart must answer the MAS questions exactly as the live
+/// service does at its final epoch, or the run fails.
 fn durability_epilogue(
     plane: &Plane,
     sizes: &Sizes,
-    seed: u64,
     work: &Path,
     measured: &mut Measured,
 ) -> Result<(), String> {
     let tenant = plane.tenant(plane::DURABLE_TENANT);
     let service = &tenant.service;
-    let idle = measured.checkpoint_s.is_empty();
-    if idle {
-        // SQL the MAS log would plausibly grow by: `scale_log`'s perturbed
-        // MAS templates.  Most of it lands before the checkpoints, the rest
-        // becomes the journal tail the restart replays.
-        let cases = tenant.dataset.cases.len();
-        let grown = datasets::scale_log(
-            &tenant.dataset.full_log(),
-            1 + sizes.submit_burst.div_ceil(cases),
-            seed,
-        );
-        measured.sql = grown
-            .queries()
-            .iter()
-            .skip(cases)
-            .take(sizes.submit_burst)
-            .map(|q| q.to_string())
-            .collect();
-        let catalog: Vec<Request> = measured
-            .sql
-            .iter()
-            .enumerate()
-            .map(|(i, sql)| {
-                let (tenant, sql) = (tenant.name.to_string(), sql.clone());
-                if i % 3 == 2 {
-                    let body = RequestBody::Feedback { tenant, sql };
-                    Request::new(Kind::Feedback, body, Some(&ResponseBody::FeedbackAccepted))
-                } else {
-                    let body = RequestBody::SubmitSql { tenant, sql };
-                    Request::new(Kind::Submit, body, Some(&ResponseBody::SqlAccepted))
-                }
-            })
-            .collect();
-        // Sent in chunks the ingest queue (1,024 entries by default) can
-        // hold, each drained before the next, so no submission is shed.
-        let origin = Instant::now();
-        let burst = |range: std::ops::Range<usize>| -> Result<Outcome, String> {
-            let mut outcome = Outcome::default();
-            for chunk in range.collect::<Vec<_>>().chunks(BURST_CHUNK) {
-                let sent = load::closed_loop(
-                    plane.server.local_addr(),
-                    &catalog,
-                    &[chunk.to_vec()],
-                    None,
-                    origin,
-                    &no_check,
-                )?;
-                outcome.absorb(sent);
-                service.flush();
-            }
-            Ok(outcome)
-        };
-        let split = catalog.len() * 4 / 5;
-        measured.submits = burst(0..split)?;
-        for _ in 0..sizes.idle_checkpoints {
+    if measured.checkpoint_s.is_empty() {
+        measured.checkpoint_s = sizes.repeat(|_| {
             let started = Instant::now();
             service
                 .checkpoint()
                 .map_err(|e| format!("checkpoint failed: {e}"))?;
-            measured.checkpoint_s.push(started.elapsed().as_secs_f64());
-        }
-        measured.submits.absorb(burst(split..catalog.len())?);
+            Ok(started.elapsed().as_secs_f64())
+        })?;
     }
     service.flush();
     settle_journal(service, &plane.durable_dir, work)?;
@@ -688,19 +511,16 @@ fn durability_epilogue(
         .len() as f64;
 
     let final_answers = answers(service, tenant)?;
-    let reps = if idle {
-        sizes.idle_recovers
-    } else {
-        sizes.recover_reps
-    };
-    for rep in 0..reps {
-        let copy = restart_dir(work, rep);
+    measured.recover_s = sizes.repeat(|rep| {
+        let copy = work.join(format!("restart-{rep}"));
         let (recovered, secs) = plane::recover_copy(&tenant.dataset, &plane.durable_dir, &copy)?;
-        measured.recover_s.push(secs);
         if rep == 0 && answers(&recovered, tenant)? != final_answers {
             return Err("the restarted service answers differently from the live one".to_string());
         }
-    }
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&copy);
+        Ok(secs)
+    })?;
     Ok(())
 }
 
@@ -726,10 +546,6 @@ fn settle_journal(service: &TemplarService, dir: &Path, work: &Path) -> Result<(
     Err(format!("the journal never reached entry {applied} on disk"))
 }
 
-pub fn restart_dir(work: &Path, rep: usize) -> PathBuf {
-    work.join(format!("restart-{rep}"))
-}
-
 /// The service's bypass-cache answers to every question of `tenant`.
 fn answers(service: &TemplarService, tenant: &Tenant) -> Result<Vec<ResponseBody>, String> {
     (0..tenant.dataset.cases.len())
@@ -748,14 +564,12 @@ impl Measured {
         Measured {
             setup_s: 0.0,
             load,
-            submits: Outcome::default(),
             top1_accuracy: top1,
             checkpoint_s: Vec::new(),
             checkpoint_stall: Latencies::default(),
             snapshot_bytes: 0.0,
             recover_s: Vec::new(),
             ingest_lag_max: 0,
-            windows: MAX_WINDOWS,
             catalog,
             translate_sample,
             sql: Vec::new(),
@@ -768,14 +582,7 @@ impl Measured {
         Kind::ALL
             .iter()
             .map(|&kind| {
-                let mut tally = self.load.tally(kind).clone();
-                if let Some(extra) = self.extra_submits() {
-                    let more = extra.tally(kind);
-                    tally.attempted += more.attempted;
-                    tally.ok += more.ok;
-                    tally.shed += more.shed;
-                    tally.failed += more.failed;
-                }
+                let tally = self.load.tally(kind);
                 format!(
                     "{kind:?}={}/{}/{}/{}",
                     tally.attempted, tally.ok, tally.shed, tally.failed
@@ -787,35 +594,8 @@ impl Measured {
 
     /// SubmitSql and Feedback acknowledgement latencies together.
     pub fn submit_latency(&self) -> Latencies {
-        let mut latency = self.submits.tally(Kind::Submit).latency.clone();
-        latency.merge(&self.submits.tally(Kind::Feedback).latency);
+        let mut latency = self.load.tally(Kind::Submit).latency.clone();
+        latency.merge(&self.load.tally(Kind::Feedback).latency);
         latency
-    }
-
-    /// Every operation of the run: the timed window plus, where it was a
-    /// separate burst, the submit acknowledgements.
-    pub fn attempted(&self) -> u64 {
-        self.load.attempted() + self.extra_submits().map_or(0, Outcome::attempted)
-    }
-
-    pub fn failed(&self) -> u64 {
-        self.load.failed() + self.extra_submits().map_or(0, Outcome::failed)
-    }
-
-    pub fn mismatched(&self) -> u64 {
-        self.load.mismatched() + self.extra_submits().map_or(0, Outcome::mismatched)
-    }
-
-    pub fn errors(&self) -> Vec<String> {
-        let mut errors = self.load.errors.clone();
-        if let Some(extra) = self.extra_submits() {
-            errors.extend(extra.errors.iter().cloned());
-        }
-        errors
-    }
-
-    /// The submit burst, when it was not already part of the window.
-    fn extra_submits(&self) -> Option<&Outcome> {
-        (self.load.tally(Kind::Submit).attempted == 0).then_some(&self.submits)
     }
 }

@@ -3,6 +3,7 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::Mutex;
 
 fn declared(section: &str) -> Vec<String> {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCHMARK.json");
@@ -25,7 +26,12 @@ fn declared(section: &str) -> Vec<String> {
         .collect()
 }
 
+/// The runs time themselves, so they take turns rather than share the
+/// cores with each other.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 fn smoke(workload: &str, trace: bool) {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let work = tempdir(workload, trace);
     let output = Command::new(env!("CARGO_BIN_EXE_perfbench"))
         .args([
@@ -82,12 +88,6 @@ fn tempdir(workload: &str, trace: bool) -> std::path::PathBuf {
 fn cold_translate_smoke() {
     smoke("cold_translate", false);
     smoke("cold_translate", true);
-}
-
-#[test]
-fn zipf_repeat_smoke() {
-    smoke("zipf_repeat", false);
-    smoke("zipf_repeat", true);
 }
 
 #[test]
