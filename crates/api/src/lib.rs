@@ -30,7 +30,7 @@ pub mod response;
 pub use binary::{CodecError, WireCodec, HANDSHAKE_LEN, HANDSHAKE_MAGIC, MAX_FRAME_BYTES};
 pub use error::{ApiError, SnapshotRejection};
 pub use metrics::{
-    HealthReport, HistogramBucket, MetricsReport, SlowQueryReport, StageLatencyReport,
+    HealthReport, HistogramBucket, MetricFamily, MetricsReport, SlowQueryReport, StageLatencyReport,
 };
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, RequestBody, RequestEnvelope,

@@ -1,12 +1,12 @@
 //! The wire form of a tenant's service metrics.
 //!
-//! `templar-service` owns the live counters ([`MetricsSnapshot`](
-//! ../templar_service/metrics/struct.MetricsSnapshot.html)); this is the
-//! serializable projection a registry client receives from a `Metrics`
-//! request.  Field-for-field identical to the service-side snapshot so
-//! nothing is lost at the boundary — including the columnar data-plane
-//! gauges (interner / CSR sizes, compactions) and the skipped-statement
-//! count that makes malformed bootstrap logs observable.
+//! `templar-service` fills a [`MetricsReport`] straight from its live
+//! counters and serves it unchanged: as the `Metrics` response on the wire
+//! and, through [`MetricsReport::PROMETHEUS_FAMILIES`], as Prometheus text.
+//! Each field is declared exactly once, in the `metrics_report!` list
+//! below, together with its doc comment, its type and, for a field that is
+//! exported on its own, its Prometheus family name, TYPE and HELP.  Adding a
+//! metric is one entry there plus the code that fills it in.
 
 use serde::{Deserialize, Serialize};
 use templar_core::{RequestTrace, SearchStats};
@@ -90,126 +90,224 @@ pub struct HealthReport {
     pub wal_last_errno: u64,
 }
 
-/// A point-in-time view of one tenant's serving health.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricsReport {
+/// One numeric family of the Prometheus exposition, generated from the
+/// [`MetricsReport`] field whose value it carries.
+#[derive(Debug, Clone, Copy)]
+pub struct MetricFamily {
+    /// Family name: `templar_` prefixed; a counter's name ends in `_total`.
+    pub name: &'static str,
+    /// `# TYPE`: `"counter"` (accumulates since service start) or `"gauge"`
+    /// (point-in-time).
+    pub kind: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// Reads the family's sample from a report.
+    pub value: fn(&MetricsReport) -> u64,
+}
+
+/// Declares [`MetricsReport`] and its Prometheus family table from one
+/// list.  Each entry is a field with its doc comment and type; a field
+/// exported as its own family continues with `=> counter|gauge "name"
+/// "HELP text"`.  Fields without a family (the latency summaries and
+/// histograms) reach the exposition through the hand-written histogram
+/// families of `templar_service::prometheus_text`.
+macro_rules! metrics_report {
+    ($(
+        $(#[$attr:meta])*
+        $field:ident: $ty:ty $(=> $kind:ident $family:literal $help:literal)?
+    ),* $(,)?) => {
+        /// A point-in-time view of one tenant's serving health.
+        #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+        pub struct MetricsReport {
+            $($(#[$attr])* pub $field: $ty,)*
+        }
+
+        impl MetricsReport {
+            /// Every numeric family of the Prometheus exposition, in field
+            /// order.
+            pub const PROMETHEUS_FAMILIES: &'static [MetricFamily] = &[
+                $($(MetricFamily {
+                    name: $family,
+                    kind: stringify!($kind),
+                    help: $help,
+                    value: |report| report.$field,
+                },)?)*
+            ];
+        }
+    };
+}
+
+metrics_report! {
     /// Translations served since start, and how many produced no SQL.
-    pub translations_served: u64,
-    pub empty_translations: u64,
+    translations_served: u64 => counter "templar_translations_total"
+        "Translations served since start.",
+    empty_translations: u64 => counter "templar_empty_translations_total"
+        "Translations that produced no SQL candidate.",
     /// Best-first configuration-search counters, summed over every
     /// translation: configurations scored / provably pruned without
     /// scoring / prefix subtrees cut by the admissible bound, plus how
     /// many requests ran out of their search budget (best-effort rather
     /// than provably exact rankings).
-    pub search_tuples_scored: u64,
-    pub search_tuples_pruned: u64,
-    pub search_bound_cutoffs: u64,
-    pub search_budget_exhausted: u64,
+    search_tuples_scored: u64 => counter "templar_search_tuples_scored_total"
+        "Configurations fully scored by the best-first search.",
+    search_tuples_pruned: u64 => counter "templar_search_tuples_pruned_total"
+        "Configurations skipped by the admissible bound without scoring.",
+    search_bound_cutoffs: u64 => counter "templar_search_bound_cutoffs_total"
+        "Prefix subtrees cut by the admissible bound.",
+    search_budget_exhausted: u64 => counter "templar_search_budget_exhausted_total"
+        "Requests whose configuration search ran out of budget.",
     /// Approximate translation latency quantiles (power-of-two bucket upper
     /// bounds) and exact mean/sum, in microseconds.
-    pub translate_p50_us: u64,
-    pub translate_p99_us: u64,
-    pub translate_mean_us: u64,
-    pub translate_sum_us: u64,
+    translate_p50_us: u64,
+    translate_p99_us: u64,
+    translate_mean_us: u64,
+    translate_sum_us: u64,
     /// Cumulative end-to-end latency buckets (Prometheus `le` semantics;
     /// final entry is `+Inf`).
-    pub translate_buckets: Vec<HistogramBucket>,
+    translate_buckets: Vec<HistogramBucket>,
     /// Per-stage latency distributions, one entry per pipeline stage in
     /// execution order.
-    pub stage_latencies: Vec<StageLatencyReport>,
+    stage_latencies: Vec<StageLatencyReport>,
     /// Ingestion counters: accepted into the queue / rejected at capacity /
     /// applied to the QFG / failed to parse on the live path.
-    pub ingest_submitted: u64,
-    pub ingest_rejected: u64,
-    pub ingest_applied: u64,
-    pub ingest_parse_errors: u64,
+    ingest_submitted: u64 => counter "templar_ingest_submitted_total"
+        "SQL entries accepted into the ingestion queue.",
+    ingest_rejected: u64 => counter "templar_ingest_rejected_total"
+        "SQL entries rejected at queue capacity.",
+    ingest_applied: u64 => counter "templar_ingest_applied_total"
+        "SQL entries applied to the Query Fragment Graph.",
+    ingest_parse_errors: u64 => counter "templar_ingest_parse_errors_total"
+        "SQL entries that failed to parse on the live ingest path.",
     /// Statements skipped as unparsable while assembling the service's
     /// query log from raw SQL text.
-    pub log_skipped_statements: u64,
+    log_skipped_statements: u64 => counter "templar_log_skipped_statements_total"
+        "Statements skipped as unparsable while assembling the bootstrap log.",
     /// Entries accepted but not yet applied.
-    pub ingest_lag: u64,
+    ingest_lag: u64 => gauge "templar_ingest_lag"
+        "Entries accepted but not yet applied.",
     /// Log entries evicted under the retention bound.
-    pub log_evictions: u64,
+    log_evictions: u64 => counter "templar_log_evictions_total"
+        "Log entries evicted under the retention bound.",
     /// Snapshots published since start.
-    pub snapshot_swaps: u64,
+    snapshot_swaps: u64 => counter "templar_snapshot_swaps_total"
+        "Snapshots published since start.",
     /// Accepted-SQL feedback entries received over the `Feedback` request
     /// (a subset of `ingest_submitted`).
-    pub feedback_accepted: u64,
+    feedback_accepted: u64 => counter "templar_feedback_accepted_total"
+        "Accepted-SQL feedback entries received.",
     /// Write-ahead journal counters (0 on a non-durable tenant): records
     /// appended / fsyncs issued / records replayed at recovery / segments
     /// garbage-collected / filesystem failures absorbed, plus the sequence
     /// number of the last journal record applied (the next checkpoint's
     /// watermark).
-    pub wal_appended: u64,
-    pub wal_fsyncs: u64,
-    pub wal_replayed: u64,
-    pub wal_segments_gc: u64,
-    pub wal_io_errors: u64,
+    wal_appended: u64 => counter "templar_wal_appended_total"
+        "Write-ahead journal records appended.",
+    wal_fsyncs: u64 => counter "templar_wal_fsyncs_total"
+        "Write-ahead journal fsyncs issued.",
+    wal_replayed: u64 => counter "templar_wal_replayed_total"
+        "Journal records replayed at recovery.",
+    wal_segments_gc: u64 => counter "templar_wal_segments_gc_total"
+        "Journal segments garbage-collected.",
+    wal_io_errors: u64 => counter "templar_wal_io_errors_total"
+        "Journal filesystem failures absorbed.",
     /// First OS errno of the current (or most recent) journal failure
     /// episode, encoded as `errno + 1` (0 = none recorded) — tells
     /// operators `ENOSPC` (29) from `EIO` (6) straight from the report.
-    pub wal_last_errno: u64,
+    wal_last_errno: u64 => gauge "templar_wal_last_errno"
+        "First OS errno of the last journal failure episode, plus one (0 = none).",
     /// Write-availability state: 0 = healthy, 1 = degraded read-only
     /// (journal failing; `SubmitSql`/`Feedback` refused with `Degraded`).
-    pub health_state: u64,
+    health_state: u64 => gauge "templar_health_state"
+        "Write-availability state: 0 = healthy, 1 = degraded read-only.",
     /// Write entries refused while degraded.
-    pub degraded_entries_total: u64,
+    degraded_entries_total: u64 => counter "templar_degraded_entries_total"
+        "Ingest/feedback entries refused while degraded.",
     /// In-line journal sync retries after a failure.
-    pub journal_retries_total: u64,
+    journal_retries_total: u64 => counter "templar_journal_retries_total"
+        "In-line journal sync retries after a failure.",
     /// Degraded episodes healed (staged tail replayed, writes restored).
-    pub journal_heals_total: u64,
+    journal_heals_total: u64 => counter "templar_journal_heals_total"
+        "Degraded episodes healed with the staged tail replayed.",
     /// Bytes cut off a torn journal tail at recovery (bounded data loss:
     /// acknowledged-but-unsynced entries that did not survive a crash).
-    pub wal_truncated_bytes: u64,
+    wal_truncated_bytes: u64 => counter "templar_wal_truncated_bytes_total"
+        "Bytes cut off a torn journal tail at recovery.",
     /// Largest decoded WAL batch the last recovery materialized — the
     /// bounded-memory replay's high-water mark, at most
     /// `max(recovery_batch_bytes, largest single record)`.
-    pub recovery_peak_batch_bytes: u64,
+    recovery_peak_batch_bytes: u64 => gauge "templar_recovery_peak_batch_bytes"
+        "Largest decoded WAL batch the last recovery materialized.",
     /// On-disk size of the last snapshot written or recovered from, bytes.
-    pub snapshot_body_bytes: u64,
+    snapshot_body_bytes: u64 => gauge "templar_snapshot_body_bytes"
+        "On-disk size of the last snapshot written or recovered from.",
     /// Admission-control sheds: requests rejected with `Backpressure`
     /// before any work was queued — at the tenant's own in-flight quota,
     /// and at the serving plane's global in-flight cap (attributed to the
     /// tenant whose request was turned away).
-    pub admission_tenant_shed: u64,
-    pub admission_global_shed: u64,
-    pub wal_applied_seq: u64,
+    admission_tenant_shed: u64 => counter "templar_admission_tenant_shed_total"
+        "Requests shed at the tenant's in-flight quota.",
+    admission_global_shed: u64 => counter "templar_admission_global_shed_total"
+        "Requests shed at the serving plane's global in-flight cap.",
+    wal_applied_seq: u64 => gauge "templar_wal_applied_seq"
+        "Sequence number of the last journal record applied.",
     /// Join-cache statistics of the current snapshot.
-    pub join_cache_hits: u64,
-    pub join_cache_misses: u64,
-    pub join_cache_evictions: u64,
-    pub join_cache_entries: u64,
+    join_cache_hits: u64 => counter "templar_join_cache_hits_total"
+        "Join-cache hits of the current snapshot.",
+    join_cache_misses: u64 => counter "templar_join_cache_misses_total"
+        "Join-cache misses of the current snapshot.",
+    join_cache_evictions: u64 => counter "templar_join_cache_evictions_total"
+        "Join-cache evictions of the current snapshot.",
+    join_cache_entries: u64 => gauge "templar_join_cache_entries"
+        "Resident join-cache entries.",
     /// Query Fragment Graph size (live fragments / edges / queries).
-    pub qfg_fragments: u64,
-    pub qfg_edges: u64,
-    pub qfg_queries: u64,
+    qfg_fragments: u64 => gauge "templar_qfg_fragments"
+        "Live query fragments in the current snapshot's QFG.",
+    qfg_edges: u64 => gauge "templar_qfg_edges"
+        "Co-occurrence edges in the current snapshot's QFG.",
+    qfg_queries: u64 => gauge "templar_qfg_queries"
+        "Log queries folded into the current snapshot's QFG.",
     /// Columnar data-plane gauges: interner table size, compacted CSR
     /// edges, pending delta pairs, compactions performed.
-    pub qfg_interned_fragments: u64,
-    pub qfg_csr_edges: u64,
-    pub qfg_pending_deltas: u64,
-    pub qfg_compactions: u64,
+    qfg_interned_fragments: u64 => gauge "templar_qfg_interned_fragments"
+        "Interner table size of the columnar data plane.",
+    qfg_csr_edges: u64 => gauge "templar_qfg_csr_edges"
+        "Edges resident in the compacted CSR.",
+    qfg_pending_deltas: u64 => gauge "templar_qfg_pending_deltas"
+        "Pending delta-log pairs awaiting compaction.",
+    qfg_compactions: u64 => counter "templar_qfg_compactions_total"
+        "Compactions the QFG lineage has undergone.",
     /// Tiered-compaction gauges of the ingest plane: sorted delta runs
     /// resident in the master graph and geometric run merges performed.
-    pub qfg_delta_runs: u64,
-    pub qfg_run_merges: u64,
+    qfg_delta_runs: u64 => gauge "templar_qfg_delta_runs"
+        "Sorted delta runs resident in the master graph's tiered compactor.",
+    qfg_run_merges: u64 => counter "templar_qfg_run_merges_total"
+        "Geometric delta-run merges the QFG lineage has performed.",
     /// Epoch-keyed translation-cache counters: requests answered from the
     /// cache / requests that had to compute (and seeded it) / entries
     /// dropped at the capacity bound / wholesale invalidations on snapshot
     /// publish, plus the current entry gauge.  Bypassed requests touch
     /// neither hits nor misses.
-    pub translation_cache_hits: u64,
-    pub translation_cache_misses: u64,
-    pub translation_cache_evictions: u64,
-    pub translation_cache_invalidations: u64,
-    pub translation_cache_entries: u64,
+    translation_cache_hits: u64 => counter "templar_translation_cache_hits_total"
+        "Translations answered from the epoch-keyed translation cache.",
+    translation_cache_misses: u64 => counter "templar_translation_cache_misses_total"
+        "Translations computed because the cache had no entry.",
+    translation_cache_evictions: u64 => counter "templar_translation_cache_evictions_total"
+        "Translation-cache entries dropped at the capacity bound.",
+    translation_cache_invalidations: u64 => counter "templar_translation_cache_invalidations_total"
+        "Wholesale translation-cache invalidations on snapshot publish.",
+    translation_cache_entries: u64 => gauge "templar_translation_cache_entries"
+        "Resident translation-cache entries.",
     /// Similarity-model memo counters sampled from the current snapshot's
     /// `WordModel`: single-word and phrase vector cache hits/misses since
     /// the model instance was built.
-    pub word_memo_hits: u64,
-    pub word_memo_misses: u64,
-    pub phrase_memo_hits: u64,
-    pub phrase_memo_misses: u64,
+    word_memo_hits: u64 => counter "templar_word_memo_hits_total"
+        "Word-vector memo hits of the current snapshot's similarity model.",
+    word_memo_misses: u64 => counter "templar_word_memo_misses_total"
+        "Word-vector memo misses of the current snapshot's similarity model.",
+    phrase_memo_hits: u64 => counter "templar_phrase_memo_hits_total"
+        "Phrase-vector memo hits of the current snapshot's similarity model.",
+    phrase_memo_misses: u64 => counter "templar_phrase_memo_misses_total"
+        "Phrase-vector memo misses of the current snapshot's similarity model.",
 }
 
 #[cfg(test)]

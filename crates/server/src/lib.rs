@@ -39,5 +39,8 @@ mod conn;
 mod poller;
 pub mod server;
 
-pub use client::{is_retryable, retry_with_deadline, ClientError, TcpClient};
+pub use client::{is_retryable, ClientError, TcpClient};
 pub use server::{ServerConfig, ServerStatsSnapshot, TemplarServer};
+/// The backoff loop shared with the in-process client; pass it
+/// [`is_retryable`] to retry socket calls.
+pub use templar_service::retry_with_deadline;

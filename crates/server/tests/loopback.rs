@@ -86,6 +86,13 @@ fn both_codecs_match_the_in_process_client_byte_for_byte() {
     assert_eq!(expected, via_binary);
     assert!(!expected.candidates.is_empty(), "fixture should translate");
 
+    // With nothing in flight, every transport reports exactly the
+    // service's own metrics.
+    let service_metrics = registry.get("academic").unwrap().metrics();
+    assert_eq!(in_process.metrics("academic").unwrap(), service_metrics);
+    assert_eq!(json.metrics("academic").unwrap(), service_metrics);
+    assert_eq!(binary.metrics("academic").unwrap(), service_metrics);
+
     // The write path and observability surface round-trip too.
     binary
         .submit_sql("academic", "SELECT p.title FROM publication p")

@@ -22,24 +22,28 @@ pub fn is_retryable(error: &ApiError) -> bool {
     matches!(error, ApiError::Backpressure | ApiError::Degraded)
 }
 
-/// Run `op` until it succeeds, returns a non-retryable error, or `deadline`
-/// elapses — whichever comes first.  Between attempts the helper sleeps with
-/// exponential backoff from `base` (doubling, capped at one second), clipped
-/// to the time remaining, so a caller-supplied deadline is honoured even
-/// when the service stays degraded for its whole span.  The terminal error
-/// is the last one observed (so a deadline expiry still reports *why* the
-/// service was refusing writes).
-pub fn retry_with_deadline<T>(
+/// Run `op` until it succeeds, returns an error `retryable` rejects, or
+/// `deadline` elapses — whichever comes first.  Between attempts the loop
+/// sleeps with exponential backoff from `base` (doubling, capped at one
+/// second), clipped to the time remaining, so a caller-supplied deadline is
+/// honoured even when the service stays degraded for its whole span.  The
+/// terminal error is the last one observed (so a deadline expiry still
+/// reports *why* the service was refusing writes).
+///
+/// Each client passes its own classifier: [`is_retryable`] here, and
+/// `templar_server::is_retryable` for socket errors.
+pub fn retry_with_deadline<T, E>(
     deadline: Duration,
     base: Duration,
-    mut op: impl FnMut() -> Result<T, ApiError>,
-) -> Result<T, ApiError> {
+    retryable: impl Fn(&E) -> bool,
+    mut op: impl FnMut() -> Result<T, E>,
+) -> Result<T, E> {
     let started = Instant::now();
     let mut backoff = base.max(Duration::from_micros(100));
     loop {
         match op() {
             Ok(value) => return Ok(value),
-            Err(error) if !is_retryable(&error) => return Err(error),
+            Err(error) if !retryable(&error) => return Err(error),
             Err(error) => {
                 let elapsed = started.elapsed();
                 if elapsed >= deadline {
@@ -118,31 +122,6 @@ impl<'a> RegistryClient<'a> {
         }
     }
 
-    /// Submit answered SQL, retrying [`ApiError::Backpressure`] and
-    /// [`ApiError::Degraded`] with exponential backoff until `deadline`
-    /// elapses.  See [`retry_with_deadline`].
-    pub fn submit_sql_with_deadline(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Duration,
-        base_backoff: Duration,
-    ) -> Result<(), ApiError> {
-        retry_with_deadline(deadline, base_backoff, || self.submit_sql(tenant, sql))
-    }
-
-    /// Report accepted SQL, retrying transient refusals until `deadline`
-    /// elapses.  See [`retry_with_deadline`].
-    pub fn feedback_with_deadline(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Duration,
-        base_backoff: Duration,
-    ) -> Result<(), ApiError> {
-        retry_with_deadline(deadline, base_backoff, || self.feedback(tenant, sql))
-    }
-
     /// Fetch a tenant's health report.  Health is exempt from admission
     /// control and never refused in degraded mode — it is the request an
     /// operator's probe sends to find out *why* writes are bouncing.
@@ -192,5 +171,74 @@ impl<'a> RegistryClient<'a> {
                 detail: format!("unexpected response body for Prometheus: {other:?}"),
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    /// A retryable error carries the attempt it came from, so a test can
+    /// tell which error the loop returned.
+    #[derive(Debug, PartialEq)]
+    enum Refusal {
+        Transient(u32),
+        Fatal,
+    }
+
+    fn transient(error: &Refusal) -> bool {
+        matches!(error, Refusal::Transient(_))
+    }
+
+    const FAST: Duration = Duration::from_micros(100);
+
+    #[test]
+    fn retry_with_deadline_stops_on_success_fatal_error_or_deadline() {
+        let calls = Cell::new(0u32);
+        let attempt = || {
+            calls.set(calls.get() + 1);
+            calls.get()
+        };
+
+        // Ok on the first call.
+        let result = retry_with_deadline(Duration::from_secs(10), FAST, transient, || {
+            attempt();
+            Ok::<_, Refusal>("done")
+        });
+        assert_eq!((result, calls.get()), (Ok("done"), 1));
+
+        // A non-retryable error returns after exactly one call.
+        calls.set(0);
+        let result = retry_with_deadline(Duration::from_secs(10), FAST, transient, || {
+            attempt();
+            Err::<(), _>(Refusal::Fatal)
+        });
+        assert_eq!((result, calls.get()), (Err(Refusal::Fatal), 1));
+
+        // Success after k retryable errors takes k + 1 calls.
+        calls.set(0);
+        let k = 3;
+        let result = retry_with_deadline(Duration::from_secs(10), FAST, transient, || {
+            let n = attempt();
+            if n <= k {
+                Err(Refusal::Transient(n))
+            } else {
+                Ok(n)
+            }
+        });
+        assert_eq!((result, calls.get()), (Ok(k + 1), k + 1));
+
+        // A deadline expiry returns the last retryable error.  Only the
+        // lower bound is asserted: a slow machine may overshoot it.
+        calls.set(0);
+        let deadline = Duration::from_millis(20);
+        let started = Instant::now();
+        let result = retry_with_deadline(deadline, Duration::from_millis(1), transient, || {
+            Err::<(), _>(Refusal::Transient(attempt()))
+        });
+        assert!(started.elapsed() >= deadline);
+        assert!(calls.get() >= 2, "the loop must retry before giving up");
+        assert_eq!(result, Err(Refusal::Transient(calls.get())));
     }
 }

@@ -20,10 +20,12 @@
 //!   applied, and [`server::TemplarService::recover`] restores a crashed
 //!   service from latest-snapshot + journal-tail, torn final record
 //!   truncated,
-//! * [`metrics::ServiceMetrics`] — translations served, end-to-end *and*
-//!   per-stage latency histograms, ingest lag, QFG size and join-cache
-//!   statistics as plain data, plus a Prometheus text-format exposition
-//!   ([`metrics::prometheus_text`]),
+//! * [`metrics::ServiceMetrics`] — lock-free counters and end-to-end *and*
+//!   per-stage latency histograms, exported together with ingest lag, QFG
+//!   size and join-cache statistics as the wire type
+//!   [`templar_api::MetricsReport`] ([`server::TemplarService::metrics`]),
+//!   plus a Prometheus text-format exposition generated from the same
+//!   declaration ([`metrics::prometheus_text`]),
 //! * `slowlog` — bounded capture of the slowest translations served, each
 //!   with its per-stage latency breakdown
 //!   ([`server::TemplarService::slow_queries`]),
@@ -64,7 +66,7 @@ pub use client::{is_retryable, retry_with_deadline, RegistryClient};
 pub use config::{ServiceConfig, WalConfig};
 pub use error::{ServiceError, SnapshotError, WalError};
 pub use ingest::IngestQueue;
-pub use metrics::{prometheus_text, HealthState, MetricsSnapshot, ServiceMetrics};
+pub use metrics::{prometheus_text, HealthState, ServiceMetrics};
 pub use registry::TenantRegistry;
 pub use server::{InflightPermit, TemplarService, LOCK_FILE, SNAPSHOT_FILE, WAL_DIR};
 pub use snapshot::{
@@ -72,3 +74,8 @@ pub use snapshot::{
     Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use storage::{FaultRule, FaultyStorage, FsStorage, Storage, StorageFile, StorageOp};
+/// The wire report under its former service-side name.  Nothing in this
+/// workspace uses the alias; it keeps the separately built benchmark
+/// package (`perfbench/`), which names `templar_service::MetricsSnapshot`,
+/// compiling unchanged.
+pub use templar_api::MetricsReport as MetricsSnapshot;

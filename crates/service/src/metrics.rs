@@ -1,11 +1,11 @@
 //! Service observability: counters, end-to-end and per-stage latency
-//! histograms, and a Prometheus text-format exposition — exported as plain
-//! structs so callers and benches can consume them without pulling in a
-//! metrics framework.
+//! histograms, and a Prometheus text-format exposition — exported as the
+//! plain wire struct [`MetricsReport`] so callers and benches can consume
+//! them without pulling in a metrics framework.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use templar_api::{HistogramBucket, StageLatencyReport};
+use templar_api::{HistogramBucket, MetricsReport, StageLatencyReport};
 use templar_core::trace::{RequestTrace, Stage, STAGE_COUNT};
 
 /// Number of power-of-two latency buckets.  Bucket 0 holds only 0 µs;
@@ -40,7 +40,8 @@ impl HealthState {
         }
     }
 
-    fn from_gauge(v: u64) -> Self {
+    /// Inverse of [`HealthState::as_gauge`].
+    pub(crate) fn from_gauge(v: u64) -> Self {
         if v == 0 {
             HealthState::Healthy
         } else {
@@ -303,14 +304,16 @@ impl ServiceMetrics {
 
     /// Enter degraded read-only mode (idempotent).
     pub(crate) fn enter_degraded(&self) {
-        self.health_state.store(1, Ordering::Relaxed);
+        self.health_state
+            .store(HealthState::Degraded.as_gauge(), Ordering::Relaxed);
     }
 
     /// One successful journal heal: the probe's sync went through, the
     /// staged tail is durable again, and writes are restored.
     pub(crate) fn record_journal_heal(&self) {
         self.journal_heals.fetch_add(1, Ordering::Relaxed);
-        self.health_state.store(0, Ordering::Relaxed);
+        self.health_state
+            .store(HealthState::Healthy.as_gauge(), Ordering::Relaxed);
     }
 
     /// One in-line journal sync retry (after the first failed attempt).
@@ -409,20 +412,13 @@ impl ServiceMetrics {
 
     /// Export a point-in-time view.  QFG and cache figures are filled in by
     /// the service, which owns the current snapshot.
-    pub(crate) fn export(&self) -> MetricsSnapshot {
-        let translations = self.translations.load(Ordering::Relaxed);
-        let mean_us = self
-            .latency_buckets
-            .total_us
-            .load(Ordering::Relaxed)
-            .checked_div(translations)
-            .unwrap_or(0);
+    pub(crate) fn export(&self) -> MetricsReport {
         let stage_latencies = Stage::ALL
             .iter()
             .map(|&stage| self.stage_latency[stage as usize].stage_report(stage))
             .collect();
-        MetricsSnapshot {
-            translations_served: translations,
+        MetricsReport {
+            translations_served: self.translations.load(Ordering::Relaxed),
             empty_translations: self.empty_translations.load(Ordering::Relaxed),
             search_tuples_scored: self.search_tuples_scored.load(Ordering::Relaxed),
             search_tuples_pruned: self.search_tuples_pruned.load(Ordering::Relaxed),
@@ -430,7 +426,7 @@ impl ServiceMetrics {
             search_budget_exhausted: self.search_budget_exhausted.load(Ordering::Relaxed),
             translate_p50_us: self.latency_buckets.quantile_us(0.50),
             translate_p99_us: self.latency_buckets.quantile_us(0.99),
-            translate_mean_us: mean_us,
+            translate_mean_us: self.latency_buckets.mean_us(),
             translate_sum_us: self.latency_buckets.sum_us(),
             translate_buckets: self.latency_buckets.cumulative_buckets(),
             stage_latencies,
@@ -466,502 +462,10 @@ impl ServiceMetrics {
             translation_cache_invalidations: self
                 .translation_cache_invalidations
                 .load(Ordering::Relaxed),
-            translation_cache_entries: 0,
-            word_memo_hits: 0,
-            word_memo_misses: 0,
-            phrase_memo_hits: 0,
-            phrase_memo_misses: 0,
-            wal_applied_seq: 0,
-            join_cache_hits: 0,
-            join_cache_misses: 0,
-            join_cache_evictions: 0,
-            join_cache_entries: 0,
-            qfg_fragments: 0,
-            qfg_edges: 0,
-            qfg_queries: 0,
-            qfg_interned_fragments: 0,
-            qfg_csr_edges: 0,
-            qfg_pending_deltas: 0,
-            qfg_compactions: 0,
-            qfg_delta_runs: 0,
-            qfg_run_merges: 0,
+            ..Default::default()
         }
     }
 }
-
-/// A point-in-time view of the service's health, as plain data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Translations served since start.
-    pub translations_served: u64,
-    /// Translations that produced no SQL candidate.
-    pub empty_translations: u64,
-    /// Best-first configuration-search counters, summed over every
-    /// translation served: complete configurations scored, configurations
-    /// the admissible bound skipped without scoring, prefix subtrees cut
-    /// by the bound, and how many requests exhausted their
-    /// `search_budget` (returning a best-effort instead of provably exact
-    /// ranking — also flagged per candidate in its explanation).
-    pub search_tuples_scored: u64,
-    pub search_tuples_pruned: u64,
-    pub search_bound_cutoffs: u64,
-    pub search_budget_exhausted: u64,
-    /// Approximate translation latency quantiles (power-of-two bucket upper
-    /// bounds) and exact mean/sum, in microseconds.
-    pub translate_p50_us: u64,
-    pub translate_p99_us: u64,
-    pub translate_mean_us: u64,
-    pub translate_sum_us: u64,
-    /// Cumulative end-to-end latency buckets (Prometheus `le` semantics;
-    /// final entry is `+Inf`).
-    pub translate_buckets: Vec<HistogramBucket>,
-    /// Per-stage latency distributions, one entry per pipeline stage in
-    /// execution order — populated by the serving layer, which traces every
-    /// request it serves.
-    pub stage_latencies: Vec<StageLatencyReport>,
-    /// Ingestion counters: accepted into the queue / rejected at capacity /
-    /// applied to the QFG / failed to parse.
-    pub ingest_submitted: u64,
-    pub ingest_rejected: u64,
-    pub ingest_applied: u64,
-    pub ingest_parse_errors: u64,
-    /// Statements skipped as unparsable while assembling a [`QueryLog`]
-    /// from raw SQL text (`QueryLog::from_sql`) — e.g. the initial log a
-    /// service was spawned from.  Kept separate from `ingest_parse_errors`
-    /// (the live `submit_sql` path) so malformed bootstrap logs are
-    /// observable instead of silently dropped.
-    pub log_skipped_statements: u64,
-    /// Entries accepted but not yet applied (queue + in-flight batch).
-    pub ingest_lag: u64,
-    /// Log entries evicted under `max_log_entries`.
-    pub log_evictions: u64,
-    /// Snapshots published since start.
-    pub snapshot_swaps: u64,
-    /// Accepted-SQL feedback entries received over the `Feedback` wire
-    /// request (a subset of `ingest_submitted` — feedback rides the same
-    /// durable ingest path).
-    pub feedback_accepted: u64,
-    /// Write-ahead journal counters (all 0 on a non-durable service):
-    /// records appended / fsyncs issued / records replayed at recovery /
-    /// segments garbage-collected below the snapshot watermark / append or
-    /// fsync failures (entries *not* covered by the journal).
-    pub wal_appended: u64,
-    pub wal_fsyncs: u64,
-    pub wal_replayed: u64,
-    pub wal_segments_gc: u64,
-    pub wal_io_errors: u64,
-    /// First OS errno of the current (or most recent) journal failure
-    /// episode, encoded as `errno + 1` (0 = none recorded) — lets
-    /// operators tell `ENOSPC` (28) from `EIO` (5) without log access.
-    pub wal_last_errno: u64,
-    /// Write-availability state: 0 = healthy, 1 = degraded read-only
-    /// ([`HealthState`] gauge encoding).
-    pub health_state: u64,
-    /// `Ingest`/`Feedback` entries refused while degraded.
-    pub degraded_entries_total: u64,
-    /// In-line journal sync retries (attempts after the first failure).
-    pub journal_retries_total: u64,
-    /// Successful journal heals: degraded episodes that ended with the
-    /// staged tail replayed and writes restored.
-    pub journal_heals_total: u64,
-    /// Bytes cut off a torn journal tail at recovery — a non-zero value is
-    /// the signature of actual (bounded, expected) data loss: one or more
-    /// acknowledged-but-unsynced entries did not survive the crash.
-    pub wal_truncated_bytes: u64,
-    /// Largest decoded WAL batch the last recovery materialized — the
-    /// bounded-memory replay's high-water mark, at most
-    /// `max(ServiceConfig::recovery_batch_bytes, largest single record)`.
-    /// 0 until a durable service recovers.
-    pub recovery_peak_batch_bytes: u64,
-    /// On-disk size of the last snapshot written (or recovered from), in
-    /// bytes — the sectioned v3 body including every frame header and CRC.
-    pub snapshot_body_bytes: u64,
-    /// Admission-control sheds: requests rejected with `Backpressure`
-    /// before any work was queued, split by which limit fired — the
-    /// tenant's own in-flight quota (`ServiceConfig::max_inflight`) versus
-    /// the serving plane's global in-flight cap (global sheds are
-    /// attributed to the tenant whose request was turned away).
-    pub admission_tenant_shed: u64,
-    pub admission_global_shed: u64,
-    /// Sequence number of the last journal record applied to the master
-    /// state — the watermark the next checkpoint will record.
-    pub wal_applied_seq: u64,
-    /// Join-cache statistics of the *current* snapshot (reset at swap):
-    /// hits / misses / entries evicted under the capacity bound / resident
-    /// entries.
-    pub join_cache_hits: u64,
-    pub join_cache_misses: u64,
-    pub join_cache_evictions: u64,
-    pub join_cache_entries: u64,
-    /// Size of the current snapshot's Query Fragment Graph.
-    pub qfg_fragments: u64,
-    pub qfg_edges: u64,
-    pub qfg_queries: u64,
-    /// Columnar data-plane gauges of the current snapshot: interner table
-    /// size (live + recyclable id slots), edges resident in the compacted
-    /// CSR, pending delta-log pairs (0 on a published snapshot, which is
-    /// compacted on construction), and the number of compactions the
-    /// graph's lineage has undergone.
-    pub qfg_interned_fragments: u64,
-    pub qfg_csr_edges: u64,
-    pub qfg_pending_deltas: u64,
-    pub qfg_compactions: u64,
-    /// Tiered-compaction gauges of the master graph: sorted delta runs
-    /// currently resident (tiers awaiting the next publish fold) and the
-    /// cumulative count of geometric run merges the lineage has performed.
-    /// Filled in by the service, which owns the master state.
-    pub qfg_delta_runs: u64,
-    pub qfg_run_merges: u64,
-    /// Epoch-keyed translation-cache counters: requests answered from the
-    /// cache / requests that computed (and seeded it) / entries dropped at
-    /// the capacity bound / wholesale invalidations on snapshot publish.
-    /// Bypassed requests touch neither hits nor misses.  The entry gauge is
-    /// filled in by the service, which owns the cache.
-    pub translation_cache_hits: u64,
-    pub translation_cache_misses: u64,
-    pub translation_cache_evictions: u64,
-    pub translation_cache_invalidations: u64,
-    pub translation_cache_entries: u64,
-    /// Similarity-model memo counters sampled from the current snapshot's
-    /// `WordModel` (reset at swap, like the join-cache figures): single-word
-    /// and phrase vector cache hits/misses.  Filled in by the service.
-    pub word_memo_hits: u64,
-    pub word_memo_misses: u64,
-    pub phrase_memo_hits: u64,
-    pub phrase_memo_misses: u64,
-}
-
-impl MetricsSnapshot {
-    /// This snapshot as a Prometheus text-format exposition for one tenant.
-    pub fn to_prometheus_text(&self, tenant: &str) -> String {
-        prometheus_text(&[(tenant, self)])
-    }
-}
-
-/// Every numeric family of the exposition: `(metric name, TYPE, HELP,
-/// extractor)`.  Counters monotonically accumulate since service start;
-/// gauges are point-in-time.
-type FieldGetter = fn(&MetricsSnapshot) -> u64;
-const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
-    (
-        "templar_translations_total",
-        "counter",
-        "Translations served since start.",
-        |s| s.translations_served,
-    ),
-    (
-        "templar_empty_translations_total",
-        "counter",
-        "Translations that produced no SQL candidate.",
-        |s| s.empty_translations,
-    ),
-    (
-        "templar_search_tuples_scored_total",
-        "counter",
-        "Configurations fully scored by the best-first search.",
-        |s| s.search_tuples_scored,
-    ),
-    (
-        "templar_search_tuples_pruned_total",
-        "counter",
-        "Configurations skipped by the admissible bound without scoring.",
-        |s| s.search_tuples_pruned,
-    ),
-    (
-        "templar_search_bound_cutoffs_total",
-        "counter",
-        "Prefix subtrees cut by the admissible bound.",
-        |s| s.search_bound_cutoffs,
-    ),
-    (
-        "templar_search_budget_exhausted_total",
-        "counter",
-        "Requests whose configuration search ran out of budget.",
-        |s| s.search_budget_exhausted,
-    ),
-    (
-        "templar_ingest_submitted_total",
-        "counter",
-        "SQL entries accepted into the ingestion queue.",
-        |s| s.ingest_submitted,
-    ),
-    (
-        "templar_ingest_rejected_total",
-        "counter",
-        "SQL entries rejected at queue capacity.",
-        |s| s.ingest_rejected,
-    ),
-    (
-        "templar_ingest_applied_total",
-        "counter",
-        "SQL entries applied to the Query Fragment Graph.",
-        |s| s.ingest_applied,
-    ),
-    (
-        "templar_ingest_parse_errors_total",
-        "counter",
-        "SQL entries that failed to parse on the live ingest path.",
-        |s| s.ingest_parse_errors,
-    ),
-    (
-        "templar_log_skipped_statements_total",
-        "counter",
-        "Statements skipped as unparsable while assembling the bootstrap log.",
-        |s| s.log_skipped_statements,
-    ),
-    (
-        "templar_log_evictions_total",
-        "counter",
-        "Log entries evicted under the retention bound.",
-        |s| s.log_evictions,
-    ),
-    (
-        "templar_snapshot_swaps_total",
-        "counter",
-        "Snapshots published since start.",
-        |s| s.snapshot_swaps,
-    ),
-    (
-        "templar_feedback_accepted_total",
-        "counter",
-        "Accepted-SQL feedback entries received.",
-        |s| s.feedback_accepted,
-    ),
-    (
-        "templar_wal_appended_total",
-        "counter",
-        "Write-ahead journal records appended.",
-        |s| s.wal_appended,
-    ),
-    (
-        "templar_wal_fsyncs_total",
-        "counter",
-        "Write-ahead journal fsyncs issued.",
-        |s| s.wal_fsyncs,
-    ),
-    (
-        "templar_wal_replayed_total",
-        "counter",
-        "Journal records replayed at recovery.",
-        |s| s.wal_replayed,
-    ),
-    (
-        "templar_wal_segments_gc_total",
-        "counter",
-        "Journal segments garbage-collected.",
-        |s| s.wal_segments_gc,
-    ),
-    (
-        "templar_wal_io_errors_total",
-        "counter",
-        "Journal filesystem failures absorbed.",
-        |s| s.wal_io_errors,
-    ),
-    (
-        "templar_wal_truncated_bytes_total",
-        "counter",
-        "Bytes cut off a torn journal tail at recovery.",
-        |s| s.wal_truncated_bytes,
-    ),
-    (
-        "templar_wal_last_errno",
-        "gauge",
-        "First OS errno of the last journal failure episode, plus one (0 = none).",
-        |s| s.wal_last_errno,
-    ),
-    (
-        "templar_health_state",
-        "gauge",
-        "Write-availability state: 0 = healthy, 1 = degraded read-only.",
-        |s| s.health_state,
-    ),
-    (
-        "templar_degraded_entries_total",
-        "counter",
-        "Ingest/feedback entries refused while degraded.",
-        |s| s.degraded_entries_total,
-    ),
-    (
-        "templar_journal_retries_total",
-        "counter",
-        "In-line journal sync retries after a failure.",
-        |s| s.journal_retries_total,
-    ),
-    (
-        "templar_journal_heals_total",
-        "counter",
-        "Degraded episodes healed with the staged tail replayed.",
-        |s| s.journal_heals_total,
-    ),
-    (
-        "templar_admission_tenant_shed_total",
-        "counter",
-        "Requests shed at the tenant's in-flight quota.",
-        |s| s.admission_tenant_shed,
-    ),
-    (
-        "templar_admission_global_shed_total",
-        "counter",
-        "Requests shed at the serving plane's global in-flight cap.",
-        |s| s.admission_global_shed,
-    ),
-    (
-        "templar_ingest_lag",
-        "gauge",
-        "Entries accepted but not yet applied.",
-        |s| s.ingest_lag,
-    ),
-    (
-        "templar_wal_applied_seq",
-        "gauge",
-        "Sequence number of the last journal record applied.",
-        |s| s.wal_applied_seq,
-    ),
-    (
-        "templar_join_cache_hits_total",
-        "counter",
-        "Join-cache hits of the current snapshot.",
-        |s| s.join_cache_hits,
-    ),
-    (
-        "templar_join_cache_misses_total",
-        "counter",
-        "Join-cache misses of the current snapshot.",
-        |s| s.join_cache_misses,
-    ),
-    (
-        "templar_join_cache_evictions_total",
-        "counter",
-        "Join-cache evictions of the current snapshot.",
-        |s| s.join_cache_evictions,
-    ),
-    (
-        "templar_join_cache_entries",
-        "gauge",
-        "Resident join-cache entries.",
-        |s| s.join_cache_entries,
-    ),
-    (
-        "templar_qfg_fragments",
-        "gauge",
-        "Live query fragments in the current snapshot's QFG.",
-        |s| s.qfg_fragments,
-    ),
-    (
-        "templar_qfg_edges",
-        "gauge",
-        "Co-occurrence edges in the current snapshot's QFG.",
-        |s| s.qfg_edges,
-    ),
-    (
-        "templar_qfg_queries",
-        "gauge",
-        "Log queries folded into the current snapshot's QFG.",
-        |s| s.qfg_queries,
-    ),
-    (
-        "templar_qfg_interned_fragments",
-        "gauge",
-        "Interner table size of the columnar data plane.",
-        |s| s.qfg_interned_fragments,
-    ),
-    (
-        "templar_qfg_csr_edges",
-        "gauge",
-        "Edges resident in the compacted CSR.",
-        |s| s.qfg_csr_edges,
-    ),
-    (
-        "templar_qfg_pending_deltas",
-        "gauge",
-        "Pending delta-log pairs awaiting compaction.",
-        |s| s.qfg_pending_deltas,
-    ),
-    (
-        "templar_qfg_compactions_total",
-        "counter",
-        "Compactions the QFG lineage has undergone.",
-        |s| s.qfg_compactions,
-    ),
-    (
-        "templar_qfg_delta_runs",
-        "gauge",
-        "Sorted delta runs resident in the master graph's tiered compactor.",
-        |s| s.qfg_delta_runs,
-    ),
-    (
-        "templar_qfg_run_merges_total",
-        "counter",
-        "Geometric delta-run merges the QFG lineage has performed.",
-        |s| s.qfg_run_merges,
-    ),
-    (
-        "templar_recovery_peak_batch_bytes",
-        "gauge",
-        "Largest decoded WAL batch the last recovery materialized.",
-        |s| s.recovery_peak_batch_bytes,
-    ),
-    (
-        "templar_snapshot_body_bytes",
-        "gauge",
-        "On-disk size of the last snapshot written or recovered from.",
-        |s| s.snapshot_body_bytes,
-    ),
-    (
-        "templar_translation_cache_hits_total",
-        "counter",
-        "Translations answered from the epoch-keyed translation cache.",
-        |s| s.translation_cache_hits,
-    ),
-    (
-        "templar_translation_cache_misses_total",
-        "counter",
-        "Translations computed because the cache had no entry.",
-        |s| s.translation_cache_misses,
-    ),
-    (
-        "templar_translation_cache_evictions_total",
-        "counter",
-        "Translation-cache entries dropped at the capacity bound.",
-        |s| s.translation_cache_evictions,
-    ),
-    (
-        "templar_translation_cache_invalidations_total",
-        "counter",
-        "Wholesale translation-cache invalidations on snapshot publish.",
-        |s| s.translation_cache_invalidations,
-    ),
-    (
-        "templar_translation_cache_entries",
-        "gauge",
-        "Resident translation-cache entries.",
-        |s| s.translation_cache_entries,
-    ),
-    (
-        "templar_word_memo_hits_total",
-        "counter",
-        "Word-vector memo hits of the current snapshot's similarity model.",
-        |s| s.word_memo_hits,
-    ),
-    (
-        "templar_word_memo_misses_total",
-        "counter",
-        "Word-vector memo misses of the current snapshot's similarity model.",
-        |s| s.word_memo_misses,
-    ),
-    (
-        "templar_phrase_memo_hits_total",
-        "counter",
-        "Phrase-vector memo hits of the current snapshot's similarity model.",
-        |s| s.phrase_memo_hits,
-    ),
-    (
-        "templar_phrase_memo_misses_total",
-        "counter",
-        "Phrase-vector memo misses of the current snapshot's similarity model.",
-        |s| s.phrase_memo_misses,
-    ),
-];
 
 fn prom_bucket_lines(
     out: &mut String,
@@ -997,14 +501,18 @@ fn prom_bucket_lines(
 /// with one sample per tenant under a `tenant` label — the format's
 /// uniqueness rule, which is why expositions are assembled here rather than
 /// concatenated per tenant.
-pub fn prometheus_text(tenants: &[(&str, &MetricsSnapshot)]) -> String {
+pub fn prometheus_text(tenants: &[(&str, &MetricsReport)]) -> String {
     let mut out = String::new();
-    for (name, kind, help, get) in PROM_FAMILIES {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (tenant, snapshot) in tenants {
+    for family in MetricsReport::PROMETHEUS_FAMILIES {
+        let name = family.name;
+        out.push_str(&format!(
+            "# HELP {name} {}\n# TYPE {name} {}\n",
+            family.help, family.kind
+        ));
+        for (tenant, report) in tenants {
             out.push_str(&format!(
                 "{name}{{tenant=\"{tenant}\"}} {}\n",
-                get(snapshot)
+                (family.value)(report)
             ));
         }
     }
@@ -1012,22 +520,22 @@ pub fn prometheus_text(tenants: &[(&str, &MetricsSnapshot)]) -> String {
     out.push_str(&format!(
         "# HELP {family} End-to-end translation latency.\n# TYPE {family} histogram\n"
     ));
-    for (tenant, snapshot) in tenants {
+    for (tenant, report) in tenants {
         prom_bucket_lines(
             &mut out,
             family,
             &format!("tenant=\"{tenant}\","),
-            &snapshot.translate_buckets,
-            snapshot.translate_sum_us,
-            snapshot.translations_served,
+            &report.translate_buckets,
+            report.translate_sum_us,
+            report.translations_served,
         );
     }
     let family = "templar_stage_latency_microseconds";
     out.push_str(&format!(
         "# HELP {family} Per-stage translation latency, labelled by pipeline stage.\n# TYPE {family} histogram\n"
     ));
-    for (tenant, snapshot) in tenants {
-        for stage in &snapshot.stage_latencies {
+    for (tenant, report) in tenants {
+        for stage in &report.stage_latencies {
             prom_bucket_lines(
                 &mut out,
                 family,
@@ -1172,7 +680,7 @@ mod tests {
         spans.add(Stage::ConfigSearch, 80_000);
         m.record_stage_latencies(&spans.finish(Duration::from_micros(150)));
         let snap = m.export();
-        let text = snap.to_prometheus_text("mas");
+        let text = prometheus_text(&[("mas", &snap)]);
 
         let mut seen_families = std::collections::BTreeSet::new();
         let mut samples = 0usize;
@@ -1200,6 +708,24 @@ mod tests {
             }
         }
         assert!(samples > 30, "expected a full exposition, got {samples}");
+        // Every generated family: a unique `templar_` name that ends in
+        // `_total` exactly when the family is a counter, declared in the
+        // exposition with its TYPE and HELP.
+        let mut names = std::collections::BTreeSet::new();
+        for family in MetricsReport::PROMETHEUS_FAMILIES {
+            let name = family.name;
+            assert!(names.insert(name), "family {name} generated twice");
+            assert!(name.starts_with("templar_"), "bad family name: {name}");
+            assert!(matches!(family.kind, "counter" | "gauge"), "{name}");
+            assert_eq!(
+                family.kind == "counter",
+                name.ends_with("_total"),
+                "{name} is a {}",
+                family.kind
+            );
+            assert!(text.contains(&format!("# TYPE {name} {}\n", family.kind)));
+            assert!(text.contains(&format!("# HELP {name} {}\n", family.help)));
+        }
         // The histogram contract: the +Inf bucket equals the count series.
         assert!(text.contains(
             "templar_translate_latency_microseconds_bucket{tenant=\"mas\",le=\"+Inf\"} 2"

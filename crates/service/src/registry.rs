@@ -17,7 +17,7 @@
 //! `RwLock` — registration is rare, lookups clone an `Arc`, and the actual
 //! translation work runs entirely outside the lock.
 
-use crate::metrics::{prometheus_text, MetricsSnapshot};
+use crate::metrics::{prometheus_text, HealthState};
 use crate::server::TemplarService;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -101,7 +101,7 @@ impl TenantRegistry {
 
     /// Fetch one tenant's serving metrics in wire form.
     pub fn metrics(&self, tenant: &str) -> Result<MetricsReport, ApiError> {
-        Ok(metrics_report(&self.get(tenant)?.metrics()))
+        Ok(self.get(tenant)?.metrics())
     }
 
     /// Fetch one tenant's write-availability state in wire form.
@@ -120,7 +120,7 @@ impl TenantRegistry {
     /// tenant under the `tenant` label).
     pub fn prometheus(&self, tenant: Option<&str>) -> Result<String, ApiError> {
         match tenant {
-            Some(tenant) => Ok(self.get(tenant)?.metrics().to_prometheus_text(tenant)),
+            Some(tenant) => Ok(prometheus_text(&[(tenant, &self.get(tenant)?.metrics())])),
             None => {
                 let services: Vec<(String, Arc<TemplarService>)> = self
                     .tenants
@@ -128,13 +128,13 @@ impl TenantRegistry {
                     .iter()
                     .map(|(id, service)| (id.clone(), Arc::clone(service)))
                     .collect();
-                let snapshots: Vec<(String, MetricsSnapshot)> = services
+                let reports: Vec<(String, MetricsReport)> = services
                     .iter()
                     .map(|(id, service)| (id.clone(), service.metrics()))
                     .collect();
-                let refs: Vec<(&str, &MetricsSnapshot)> = snapshots
+                let refs: Vec<(&str, &MetricsReport)> = reports
                     .iter()
-                    .map(|(id, snap)| (id.as_str(), snap))
+                    .map(|(id, report)| (id.as_str(), report))
                     .collect();
                 Ok(prometheus_text(&refs))
             }
@@ -220,293 +220,17 @@ impl TenantRegistry {
     }
 }
 
-/// Project a service-side metrics snapshot onto its wire form.
-fn metrics_report(snapshot: &MetricsSnapshot) -> MetricsReport {
-    MetricsReport {
-        translations_served: snapshot.translations_served,
-        empty_translations: snapshot.empty_translations,
-        search_tuples_scored: snapshot.search_tuples_scored,
-        search_tuples_pruned: snapshot.search_tuples_pruned,
-        search_bound_cutoffs: snapshot.search_bound_cutoffs,
-        search_budget_exhausted: snapshot.search_budget_exhausted,
-        translate_p50_us: snapshot.translate_p50_us,
-        translate_p99_us: snapshot.translate_p99_us,
-        translate_mean_us: snapshot.translate_mean_us,
-        translate_sum_us: snapshot.translate_sum_us,
-        translate_buckets: snapshot.translate_buckets.clone(),
-        stage_latencies: snapshot.stage_latencies.clone(),
-        ingest_submitted: snapshot.ingest_submitted,
-        ingest_rejected: snapshot.ingest_rejected,
-        ingest_applied: snapshot.ingest_applied,
-        ingest_parse_errors: snapshot.ingest_parse_errors,
-        log_skipped_statements: snapshot.log_skipped_statements,
-        ingest_lag: snapshot.ingest_lag,
-        log_evictions: snapshot.log_evictions,
-        snapshot_swaps: snapshot.snapshot_swaps,
-        feedback_accepted: snapshot.feedback_accepted,
-        wal_appended: snapshot.wal_appended,
-        wal_fsyncs: snapshot.wal_fsyncs,
-        wal_replayed: snapshot.wal_replayed,
-        wal_segments_gc: snapshot.wal_segments_gc,
-        wal_io_errors: snapshot.wal_io_errors,
-        wal_last_errno: snapshot.wal_last_errno,
-        health_state: snapshot.health_state,
-        degraded_entries_total: snapshot.degraded_entries_total,
-        journal_retries_total: snapshot.journal_retries_total,
-        journal_heals_total: snapshot.journal_heals_total,
-        wal_truncated_bytes: snapshot.wal_truncated_bytes,
-        recovery_peak_batch_bytes: snapshot.recovery_peak_batch_bytes,
-        snapshot_body_bytes: snapshot.snapshot_body_bytes,
-        admission_tenant_shed: snapshot.admission_tenant_shed,
-        admission_global_shed: snapshot.admission_global_shed,
-        wal_applied_seq: snapshot.wal_applied_seq,
-        join_cache_hits: snapshot.join_cache_hits,
-        join_cache_misses: snapshot.join_cache_misses,
-        join_cache_evictions: snapshot.join_cache_evictions,
-        join_cache_entries: snapshot.join_cache_entries,
-        qfg_fragments: snapshot.qfg_fragments,
-        qfg_edges: snapshot.qfg_edges,
-        qfg_queries: snapshot.qfg_queries,
-        qfg_interned_fragments: snapshot.qfg_interned_fragments,
-        qfg_csr_edges: snapshot.qfg_csr_edges,
-        qfg_pending_deltas: snapshot.qfg_pending_deltas,
-        qfg_compactions: snapshot.qfg_compactions,
-        qfg_delta_runs: snapshot.qfg_delta_runs,
-        qfg_run_merges: snapshot.qfg_run_merges,
-        translation_cache_hits: snapshot.translation_cache_hits,
-        translation_cache_misses: snapshot.translation_cache_misses,
-        translation_cache_evictions: snapshot.translation_cache_evictions,
-        translation_cache_invalidations: snapshot.translation_cache_invalidations,
-        translation_cache_entries: snapshot.translation_cache_entries,
-        word_memo_hits: snapshot.word_memo_hits,
-        word_memo_misses: snapshot.word_memo_misses,
-        phrase_memo_hits: snapshot.phrase_memo_hits,
-        phrase_memo_misses: snapshot.phrase_memo_misses,
-    }
-}
-
-/// Project a service-side metrics snapshot onto the `Health` wire payload.
-fn health_report(snapshot: &MetricsSnapshot) -> HealthReport {
+/// Project a tenant's metrics report onto the `Health` wire payload.
+fn health_report(report: &MetricsReport) -> HealthReport {
     HealthReport {
-        state: if snapshot.health_state == 0 {
-            "healthy".to_string()
-        } else {
-            "degraded".to_string()
-        },
-        health_state: snapshot.health_state,
-        degraded_entries_total: snapshot.degraded_entries_total,
-        journal_retries_total: snapshot.journal_retries_total,
-        journal_heals_total: snapshot.journal_heals_total,
-        wal_io_errors: snapshot.wal_io_errors,
-        wal_last_errno: snapshot.wal_last_errno,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every snapshot field must survive the wire projection.  Both structs
-    /// are destructured *without* `..`, so adding a field to either side
-    /// breaks this test's compilation until the projection (and this
-    /// checklist) are updated — a new counter can never silently read 0 on
-    /// the wire.
-    #[test]
-    fn metrics_projection_carries_every_field() {
-        let mut snapshot = MetricsSnapshot {
-            translations_served: 1,
-            empty_translations: 2,
-            search_tuples_scored: 3,
-            search_tuples_pruned: 4,
-            search_bound_cutoffs: 5,
-            search_budget_exhausted: 6,
-            translate_p50_us: 7,
-            translate_p99_us: 8,
-            translate_mean_us: 9,
-            translate_sum_us: 10,
-            translate_buckets: vec![templar_api::HistogramBucket {
-                le_us: u64::MAX,
-                count: 1,
-            }],
-            stage_latencies: vec![],
-            ingest_submitted: 11,
-            ingest_rejected: 12,
-            ingest_applied: 13,
-            ingest_parse_errors: 14,
-            log_skipped_statements: 15,
-            ingest_lag: 16,
-            log_evictions: 17,
-            snapshot_swaps: 18,
-            feedback_accepted: 19,
-            wal_appended: 20,
-            wal_fsyncs: 21,
-            wal_replayed: 22,
-            wal_segments_gc: 23,
-            wal_io_errors: 24,
-            wal_last_errno: 53,
-            health_state: 54,
-            degraded_entries_total: 55,
-            journal_retries_total: 56,
-            journal_heals_total: 57,
-            wal_truncated_bytes: 25,
-            recovery_peak_batch_bytes: 49,
-            snapshot_body_bytes: 50,
-            admission_tenant_shed: 38,
-            admission_global_shed: 39,
-            wal_applied_seq: 26,
-            join_cache_hits: 27,
-            join_cache_misses: 28,
-            join_cache_evictions: 29,
-            join_cache_entries: 30,
-            qfg_fragments: 31,
-            qfg_edges: 32,
-            qfg_queries: 33,
-            qfg_interned_fragments: 34,
-            qfg_csr_edges: 35,
-            qfg_pending_deltas: 36,
-            qfg_compactions: 37,
-            qfg_delta_runs: 51,
-            qfg_run_merges: 52,
-            translation_cache_hits: 40,
-            translation_cache_misses: 41,
-            translation_cache_evictions: 42,
-            translation_cache_invalidations: 43,
-            translation_cache_entries: 44,
-            word_memo_hits: 45,
-            word_memo_misses: 46,
-            phrase_memo_hits: 47,
-            phrase_memo_misses: 48,
-        };
-        snapshot.stage_latencies = vec![templar_api::StageLatencyReport {
-            stage: "config_search".to_string(),
-            count: 1,
-            p50_us: 2,
-            p99_us: 3,
-            mean_us: 4,
-            sum_us: 5,
-            buckets: vec![],
-        }];
-
-        let MetricsReport {
-            translations_served,
-            empty_translations,
-            search_tuples_scored,
-            search_tuples_pruned,
-            search_bound_cutoffs,
-            search_budget_exhausted,
-            translate_p50_us,
-            translate_p99_us,
-            translate_mean_us,
-            translate_sum_us,
-            translate_buckets,
-            stage_latencies,
-            ingest_submitted,
-            ingest_rejected,
-            ingest_applied,
-            ingest_parse_errors,
-            log_skipped_statements,
-            ingest_lag,
-            log_evictions,
-            snapshot_swaps,
-            feedback_accepted,
-            wal_appended,
-            wal_fsyncs,
-            wal_replayed,
-            wal_segments_gc,
-            wal_io_errors,
-            wal_last_errno,
-            health_state,
-            degraded_entries_total,
-            journal_retries_total,
-            journal_heals_total,
-            wal_truncated_bytes,
-            recovery_peak_batch_bytes,
-            snapshot_body_bytes,
-            admission_tenant_shed,
-            admission_global_shed,
-            wal_applied_seq,
-            join_cache_hits,
-            join_cache_misses,
-            join_cache_evictions,
-            join_cache_entries,
-            qfg_fragments,
-            qfg_edges,
-            qfg_queries,
-            qfg_interned_fragments,
-            qfg_csr_edges,
-            qfg_pending_deltas,
-            qfg_compactions,
-            qfg_delta_runs,
-            qfg_run_merges,
-            translation_cache_hits,
-            translation_cache_misses,
-            translation_cache_evictions,
-            translation_cache_invalidations,
-            translation_cache_entries,
-            word_memo_hits,
-            word_memo_misses,
-            phrase_memo_hits,
-            phrase_memo_misses,
-        } = metrics_report(&snapshot);
-
-        assert_eq!(translations_served, 1);
-        assert_eq!(empty_translations, 2);
-        assert_eq!(search_tuples_scored, 3);
-        assert_eq!(search_tuples_pruned, 4);
-        assert_eq!(search_bound_cutoffs, 5);
-        assert_eq!(search_budget_exhausted, 6);
-        assert_eq!(translate_p50_us, 7);
-        assert_eq!(translate_p99_us, 8);
-        assert_eq!(translate_mean_us, 9);
-        assert_eq!(translate_sum_us, 10);
-        assert_eq!(translate_buckets, snapshot.translate_buckets);
-        assert_eq!(stage_latencies, snapshot.stage_latencies);
-        assert_eq!(ingest_submitted, 11);
-        assert_eq!(ingest_rejected, 12);
-        assert_eq!(ingest_applied, 13);
-        assert_eq!(ingest_parse_errors, 14);
-        assert_eq!(log_skipped_statements, 15);
-        assert_eq!(ingest_lag, 16);
-        assert_eq!(log_evictions, 17);
-        assert_eq!(snapshot_swaps, 18);
-        assert_eq!(feedback_accepted, 19);
-        assert_eq!(wal_appended, 20);
-        assert_eq!(wal_fsyncs, 21);
-        assert_eq!(wal_replayed, 22);
-        assert_eq!(wal_segments_gc, 23);
-        assert_eq!(wal_io_errors, 24);
-        assert_eq!(wal_last_errno, 53);
-        assert_eq!(health_state, 54);
-        assert_eq!(degraded_entries_total, 55);
-        assert_eq!(journal_retries_total, 56);
-        assert_eq!(journal_heals_total, 57);
-        assert_eq!(wal_truncated_bytes, 25);
-        assert_eq!(recovery_peak_batch_bytes, 49);
-        assert_eq!(snapshot_body_bytes, 50);
-        assert_eq!(admission_tenant_shed, 38);
-        assert_eq!(admission_global_shed, 39);
-        assert_eq!(wal_applied_seq, 26);
-        assert_eq!(join_cache_hits, 27);
-        assert_eq!(join_cache_misses, 28);
-        assert_eq!(join_cache_evictions, 29);
-        assert_eq!(join_cache_entries, 30);
-        assert_eq!(qfg_fragments, 31);
-        assert_eq!(qfg_edges, 32);
-        assert_eq!(qfg_queries, 33);
-        assert_eq!(qfg_interned_fragments, 34);
-        assert_eq!(qfg_csr_edges, 35);
-        assert_eq!(qfg_pending_deltas, 36);
-        assert_eq!(qfg_compactions, 37);
-        assert_eq!(qfg_delta_runs, 51);
-        assert_eq!(qfg_run_merges, 52);
-        assert_eq!(translation_cache_hits, 40);
-        assert_eq!(translation_cache_misses, 41);
-        assert_eq!(translation_cache_evictions, 42);
-        assert_eq!(translation_cache_invalidations, 43);
-        assert_eq!(translation_cache_entries, 44);
-        assert_eq!(word_memo_hits, 45);
-        assert_eq!(word_memo_misses, 46);
-        assert_eq!(phrase_memo_hits, 47);
-        assert_eq!(phrase_memo_misses, 48);
+        state: HealthState::from_gauge(report.health_state)
+            .name()
+            .to_string(),
+        health_state: report.health_state,
+        degraded_entries_total: report.degraded_entries_total,
+        journal_retries_total: report.journal_retries_total,
+        journal_heals_total: report.journal_heals_total,
+        wal_io_errors: report.wal_io_errors,
+        wal_last_errno: report.wal_last_errno,
     }
 }

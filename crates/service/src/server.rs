@@ -33,7 +33,7 @@
 use crate::config::{ServiceConfig, WalConfig};
 use crate::error::{ServiceError, WalError};
 use crate::ingest::IngestQueue;
-use crate::metrics::{HealthState, MetricsSnapshot, ServiceMetrics};
+use crate::metrics::{HealthState, ServiceMetrics};
 use crate::slowlog::SlowQueryLog;
 use crate::snapshot;
 use crate::storage::{FsStorage, Storage};
@@ -49,7 +49,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use templar_api::{ApiError, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse};
+use templar_api::{
+    ApiError, MetricsReport, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse,
+};
 use templar_core::{
     CandidateMemo, Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog, SharedTemplar, Templar,
     TemplarConfig, TraceCtx, TraceSpans,
@@ -907,39 +909,39 @@ impl TemplarService {
 
     /// Point-in-time service metrics, including the current snapshot's QFG
     /// size and join-cache statistics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.inner.metrics.export();
+    pub fn metrics(&self) -> MetricsReport {
+        let mut report = self.inner.metrics.export();
         let current = self.inner.handle.load();
         let cache = current.join_cache_stats();
-        snap.join_cache_hits = cache.hits;
-        snap.join_cache_misses = cache.misses;
-        snap.join_cache_evictions = cache.evictions;
-        snap.join_cache_entries = cache.entries as u64;
-        snap.qfg_fragments = current.qfg().fragment_count() as u64;
-        snap.qfg_edges = current.qfg().edge_count() as u64;
-        snap.qfg_queries = current.qfg().query_count() as u64;
-        snap.qfg_interned_fragments = current.qfg().interned_len() as u64;
-        snap.qfg_csr_edges = current.qfg().csr_edge_len() as u64;
-        snap.translation_cache_entries = self.inner.transcache.entries();
+        report.join_cache_hits = cache.hits;
+        report.join_cache_misses = cache.misses;
+        report.join_cache_evictions = cache.evictions;
+        report.join_cache_entries = cache.entries as u64;
+        report.qfg_fragments = current.qfg().fragment_count() as u64;
+        report.qfg_edges = current.qfg().edge_count() as u64;
+        report.qfg_queries = current.qfg().query_count() as u64;
+        report.qfg_interned_fragments = current.qfg().interned_len() as u64;
+        report.qfg_csr_edges = current.qfg().csr_edge_len() as u64;
+        report.translation_cache_entries = self.inner.transcache.entries();
         let (word_hits, word_misses) = current.similarity().model().word_cache_stats();
-        snap.word_memo_hits = word_hits;
-        snap.word_memo_misses = word_misses;
+        report.word_memo_hits = word_hits;
+        report.word_memo_misses = word_misses;
         let (phrase_hits, phrase_misses) = current.similarity().model().phrase_cache_stats();
-        snap.phrase_memo_hits = phrase_hits;
-        snap.phrase_memo_misses = phrase_misses;
+        report.phrase_memo_hits = phrase_hits;
+        report.phrase_memo_misses = phrase_misses;
         // Pending deltas and compactions are ingest-plane gauges: a
         // *published* snapshot is always compacted (its pending count would
         // read 0 by construction), so sample the master graph, where delta
         // pairs actually accumulate between publishes.
         {
             let master = self.inner.master.lock();
-            snap.qfg_pending_deltas = master.qfg.pending_delta_len() as u64;
-            snap.qfg_compactions = master.qfg.compactions();
-            snap.qfg_delta_runs = master.qfg.delta_run_len() as u64;
-            snap.qfg_run_merges = master.qfg.run_merges();
-            snap.wal_applied_seq = master.applied_seq;
+            report.qfg_pending_deltas = master.qfg.pending_delta_len() as u64;
+            report.qfg_compactions = master.qfg.compactions();
+            report.qfg_delta_runs = master.qfg.delta_run_len() as u64;
+            report.qfg_run_merges = master.qfg.run_merges();
+            report.wal_applied_seq = master.applied_seq;
         }
-        snap
+        report
     }
 
     /// The service configuration in use.

@@ -500,8 +500,10 @@ fn translation_cache_works_over_the_wire_with_bypass_flag() {
     assert_eq!(cached, computed);
     assert_eq!(cached, bypassed);
 
-    // Cache and memo counters ride the wire projection.
+    // The wire report of the quiescent tenant is the service's own report.
     let report = client.metrics("academic").unwrap();
+    assert_eq!(report, registry.get("academic").unwrap().metrics());
+    // Cache and memo counters ride the wire.
     assert_eq!(report.translation_cache_hits, 1);
     assert_eq!(report.translation_cache_misses, 1);
     assert_eq!(report.translation_cache_entries, 1);
