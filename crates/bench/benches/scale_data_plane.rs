@@ -1,6 +1,6 @@
 //! Data-plane timings at 1× / 100× / 1000× MAS scale: deterministic
 //! scaled-log build, post-churn publish (tiered compaction's headline
-//! number — it must stay flat as total history grows), sectioned v3
+//! number — it must stay flat as total history grows), sectioned v4
 //! snapshot write/read, and bounded-memory WAL recovery.
 //!
 //! One timed pass per phase (these are multi-second macro phases, not
@@ -14,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use templar_core::{Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
+use templar_core::{FragmentLog, Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
 use templar_service::{snapshot, wal, ServiceConfig, TemplarService, WalConfig, WAL_DIR};
 
 const RECOVERY_BATCH_BYTES: usize = 256 * 1024;
@@ -77,12 +77,17 @@ fn run_factor(base: &QueryLog, factor: usize) {
         "",
     );
 
-    // Phase 3: sectioned v3 snapshot write and streaming read.
+    // Phase 3: sectioned v4 snapshot write and streaming read.
     let dir = temp_dir(&format!("snap-{factor}x"));
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bench.snapshot");
+    // The graph also holds one base log of churn (phase 2).
+    let mut log = FragmentLog::from_log(&scaled, Obscurity::NoConstOp);
+    for query in base.queries() {
+        log.push(query.clone());
+    }
     let started = Instant::now();
-    let bytes = snapshot::write_snapshot(&path, &scaled, &graph).unwrap();
+    let bytes = snapshot::write_snapshot(&path, &log, &graph).unwrap();
     report(
         &format!("scale_data_plane/snapshot_write_{factor}x"),
         started.elapsed().as_nanos(),
@@ -90,7 +95,7 @@ fn run_factor(base: &QueryLog, factor: usize) {
     );
     let started = Instant::now();
     let snap = snapshot::read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-    assert_eq!(snap.log.len(), scaled.len());
+    assert_eq!(snap.log.len(), log.len());
     report(
         &format!("scale_data_plane/snapshot_read_{factor}x"),
         started.elapsed().as_nanos(),

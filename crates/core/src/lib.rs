@@ -42,7 +42,7 @@ pub use keyword::{
     CandidateMemo, Configuration, Keyword, KeywordMapper, KeywordMetadata, MappedElement,
     MappingCandidate, SearchStats,
 };
-pub use qfg::{FragmentId, FragmentInterner, QueryFragmentGraph, QueryLog};
+pub use qfg::{FragmentId, FragmentInterner, FragmentLog, QueryFragmentGraph, QueryLog};
 pub use shared::SharedTemplar;
 pub use templar::{JoinCacheStats, Templar};
 pub use trace::{RequestTrace, SpanGuard, Stage, StageSpan, TraceCtx, TraceSpans, STAGE_COUNT};

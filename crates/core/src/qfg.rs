@@ -51,22 +51,25 @@
 //!   [`QueryFragmentGraph::remove`] for one query at a time, in
 //!   `O(fragments²·log)` per query, which lets a long-running service absorb
 //!   newly-logged queries (and evict old ones) without rebuilding the whole
-//!   graph.  Ingesting every query of a log into an empty graph is
-//!   equivalent to a batch build, and the columnar graph is observationally
-//!   equivalent to the reference map-based model (both proved by property
-//!   tests in `tests/qfg_properties.rs`).
+//!   graph.  Both are thin wrappers over
+//!   [`QueryFragmentGraph::ingest_fragments`] /
+//!   [`QueryFragmentGraph::remove_fragments`], which take a query's
+//!   [`FragmentLog`] entry, so a service that keeps its log as fragments
+//!   extracts each query's fragments once.  Ingesting every query of a log
+//!   into an empty graph is equivalent to a batch build, and the columnar
+//!   graph is observationally equivalent to the reference map-based model
+//!   (both proved by property tests in `tests/qfg_properties.rs`).
 
 use crate::config::Obscurity;
 use crate::fragment::{fragments_of_query, QueryFragment};
 use serde::{Deserialize, Serialize};
 use sqlparse::{parse_query, Query};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
-/// A SQL query log: the raw material of the QFG.
-///
-/// Stored as a ring buffer so a serving deployment with a bounded log can
-/// evict the oldest entry ([`QueryLog::pop_oldest`]) in O(1).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A SQL query log: the raw material of the QFG.  A serving deployment
+/// keeps a [`FragmentLog`] instead, which holds only what the graph uses.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryLog {
     queries: VecDeque<Query>,
 }
@@ -106,12 +109,6 @@ impl QueryLog {
         self.queries.push_back(query);
     }
 
-    /// Remove and return the oldest logged query (O(1); used for log
-    /// eviction when a long-running service bounds its log size).
-    pub fn pop_oldest(&mut self) -> Option<Query> {
-        self.queries.pop_front()
-    }
-
     /// The logged queries, oldest first.
     pub fn queries(&self) -> &VecDeque<Query> {
         &self.queries
@@ -125,6 +122,95 @@ impl QueryLog {
     /// True when the log is empty.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
+    }
+}
+
+/// The query log as the QFG uses it: for each logged query, its distinct
+/// fragments at the log's [`Obscurity`], sorted.
+///
+/// The graph consumes a logged query only through that set — `ingest` adds
+/// it, eviction removes it again — so a serving deployment keeps this
+/// instead of a [`QueryLog`] of full SQL ASTs.  Entries are shared
+/// `Arc<[QueryFragment]>`s: cloning the log (a checkpoint does, under the
+/// master lock) costs one refcount bump per entry.  A ring buffer, like
+/// [`QueryLog`], so the oldest entry is evicted in O(1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FragmentLog {
+    obscurity: Obscurity,
+    entries: VecDeque<Arc<[QueryFragment]>>,
+}
+
+impl FragmentLog {
+    /// An empty log at an obscurity level.
+    pub fn new(obscurity: Obscurity) -> Self {
+        FragmentLog {
+            obscurity,
+            entries: VecDeque::new(),
+        }
+    }
+
+    /// The fragment log of a SQL log, extracting every entry at `obscurity`.
+    pub fn from_log(log: &QueryLog, obscurity: Obscurity) -> Self {
+        FragmentLog {
+            obscurity,
+            entries: log
+                .queries()
+                .iter()
+                .map(|query| Self::entry(query, obscurity))
+                .collect(),
+        }
+    }
+
+    /// The log entry of one query: its distinct fragments at `obscurity`,
+    /// sorted — the form [`QueryFragmentGraph::ingest_fragments`] and
+    /// [`QueryFragmentGraph::remove_fragments`] take.  A query contributes
+    /// at most 1 to `n_v` / `n_e` per fragment (pair): occurrences are
+    /// counted per logged query.
+    pub fn entry(query: &Query, obscurity: Obscurity) -> Arc<[QueryFragment]> {
+        let mut fragments = fragments_of_query(query, obscurity);
+        fragments.sort_unstable();
+        fragments.dedup();
+        fragments.into()
+    }
+
+    /// Append a query, extracting its fragments at the log's obscurity.
+    pub fn push(&mut self, query: Query) {
+        let entry = Self::entry(&query, self.obscurity);
+        self.entries.push_back(entry);
+    }
+
+    /// Append an already-extracted entry (distinct, sorted fragments).
+    pub fn push_fragments(&mut self, fragments: Arc<[QueryFragment]>) {
+        debug_assert!(
+            fragments.windows(2).all(|w| w[0] < w[1]),
+            "a log entry must hold distinct, sorted fragments"
+        );
+        self.entries.push_back(fragments);
+    }
+
+    /// Remove and return the oldest entry (O(1); log eviction).
+    pub fn pop_oldest(&mut self) -> Option<Arc<[QueryFragment]>> {
+        self.entries.pop_front()
+    }
+
+    /// The entries, oldest first.
+    pub fn entries(&self) -> &VecDeque<Arc<[QueryFragment]>> {
+        &self.entries
+    }
+
+    /// The obscurity level the entries were extracted at.
+    pub fn obscurity(&self) -> Obscurity {
+        self.obscurity
+    }
+
+    /// Number of logged queries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the log is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -433,13 +519,19 @@ impl QueryFragmentGraph {
     /// Incrementally ingest one query into the graph, updating `n_v` / `n_e`
     /// in `O(fragments²·log)` — no rebuild.
     pub fn ingest(&mut self, query: &Query) {
+        self.ingest_fragments(&FragmentLog::entry(query, self.obscurity));
+    }
+
+    /// [`QueryFragmentGraph::ingest`] of an already-extracted log entry: the
+    /// query's distinct fragments, sorted ([`FragmentLog::entry`]).
+    pub fn ingest_fragments(&mut self, fragments: &[QueryFragment]) {
+        debug_assert!(
+            fragments.windows(2).all(|w| w[0] < w[1]),
+            "ingest_fragments takes distinct, sorted fragments"
+        );
         self.query_count += 1;
-        // A query contributes at most 1 to n_v / n_e per fragment (pair),
-        // matching "the number of occurrences in L of the query fragment":
-        // occurrences are counted per logged query.
-        let fragments = Self::distinct_fragments(query, self.obscurity);
         let mut ids: Vec<u32> = Vec::with_capacity(fragments.len());
-        for f in &fragments {
+        for f in fragments {
             #[cfg(debug_assertions)]
             let was_live = self.interner.get(f).is_some();
             let id = self.interner.intern(f);
@@ -476,13 +568,6 @@ impl QueryFragmentGraph {
         }
     }
 
-    /// Incrementally add one query to the graph.  Alias of
-    /// [`QueryFragmentGraph::ingest`], kept for the batch-construction
-    /// vocabulary used by earlier callers.
-    pub fn add_query(&mut self, query: &Query) {
-        self.ingest(query);
-    }
-
     /// Remove one previously-ingested query from the graph (log eviction),
     /// decrementing `n_v` / `n_e` and releasing ids whose counts reach zero
     /// so the graph's live footprint tracks the live log.
@@ -491,13 +576,22 @@ impl QueryFragmentGraph {
     /// fragments are not fully present — i.e. it was never ingested at this
     /// obscurity level.
     pub fn remove(&mut self, query: &Query) -> bool {
+        self.remove_fragments(&FragmentLog::entry(query, self.obscurity))
+    }
+
+    /// [`QueryFragmentGraph::remove`] of an already-extracted log entry: the
+    /// query's distinct fragments, sorted ([`FragmentLog::entry`]).
+    pub fn remove_fragments(&mut self, fragments: &[QueryFragment]) -> bool {
+        debug_assert!(
+            fragments.windows(2).all(|w| w[0] < w[1]),
+            "remove_fragments takes distinct, sorted fragments"
+        );
         if self.query_count == 0 {
             return false;
         }
-        let fragments = Self::distinct_fragments(query, self.obscurity);
         // Validate first so a bad call cannot corrupt the counts.
         let mut ids: Vec<u32> = Vec::with_capacity(fragments.len());
-        for f in &fragments {
+        for f in fragments {
             match self.interner.get(f) {
                 Some(id) if self.occurrences[id.index()] > 0 => ids.push(id.0),
                 _ => return false,
@@ -785,11 +879,6 @@ impl QueryFragmentGraph {
             }
         }
         merged
-    }
-
-    /// The distinct fragments of one query at an obscurity level, ordered.
-    fn distinct_fragments(query: &Query, obscurity: Obscurity) -> BTreeSet<QueryFragment> {
-        fragments_of_query(query, obscurity).into_iter().collect()
     }
 
     /// The obscurity level the graph was built at.
@@ -1114,206 +1203,16 @@ impl PartialEq for QueryFragmentGraph {
     }
 }
 
-/// Snapshot format v2 body: the interner table plus the columnar arrays,
-/// densified to live ids (dead slots are an in-process artifact of id
-/// stability and are dropped on the wire).
-#[derive(Serialize, Deserialize)]
-struct ColumnarQfg {
-    obscurity: Obscurity,
-    query_count: u64,
-    fragments: Vec<QueryFragment>,
-    occurrences: Vec<u64>,
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    counts: Vec<u64>,
-}
-
-impl Serialize for QueryFragmentGraph {
-    fn to_value(&self) -> serde::Value {
-        // Serialize a compacted, densified view; `to_value` takes `&self`,
-        // so an uncompacted graph is compacted on a clone.
-        let owned;
-        let graph = if self.is_compacted() {
-            self
-        } else {
-            let mut c = self.clone();
-            c.compact();
-            owned = c;
-            &owned
-        };
-        let table = graph.interner.table_len();
-        let mut remap: Vec<u32> = vec![u32::MAX; table];
-        let mut fragments = Vec::with_capacity(graph.fragment_count());
-        let mut occurrences = Vec::with_capacity(graph.fragment_count());
-        for (slot, entry) in remap.iter_mut().enumerate() {
-            if graph.occurrences[slot] > 0 {
-                *entry = fragments.len() as u32;
-                fragments.push(graph.interner.fragments[slot].clone());
-                occurrences.push(graph.occurrences[slot]);
-            }
-        }
-        // The remap is monotone over live slots, so row order and in-row
-        // neighbor order survive unchanged.
-        let n = fragments.len();
-        let mut offsets = vec![0u32; n + 1];
-        let mut neighbors = Vec::with_capacity(graph.csr.neighbors.len());
-        let mut counts = Vec::with_capacity(graph.csr.counts.len());
-        for lo in 0..table {
-            let new_lo = remap[lo];
-            let (start, end) = (
-                graph.csr.offsets[lo] as usize,
-                graph.csr.offsets[lo + 1] as usize,
-            );
-            for e in start..end {
-                debug_assert!(new_lo != u32::MAX, "CSR edge touching a dead slot");
-                neighbors.push(remap[graph.csr.neighbors[e] as usize]);
-                counts.push(graph.csr.counts[e]);
-                offsets[new_lo as usize + 1] += 1;
-            }
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        ColumnarQfg {
-            obscurity: graph.obscurity,
-            query_count: graph.query_count as u64,
-            fragments,
-            occurrences,
-            offsets,
-            neighbors,
-            counts,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for QueryFragmentGraph {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let columnar = ColumnarQfg::from_value(value)?;
-        QueryFragmentGraph::from_columnar(columnar).map_err(serde::Error::new)
-    }
-}
-
-impl QueryFragmentGraph {
-    /// Validate and adopt a deserialized columnar body.  Every structural
-    /// invariant is checked so a corrupted or truncated snapshot surfaces as
-    /// a typed error instead of panics or silently wrong scores.
-    fn from_columnar(c: ColumnarQfg) -> Result<Self, String> {
-        let n = c.fragments.len();
-        if c.occurrences.len() != n {
-            return Err(format!(
-                "occurrence column length {} does not match {} fragments",
-                c.occurrences.len(),
-                n
-            ));
-        }
-        if c.occurrences.contains(&0) {
-            return Err("serialized graph contains a zero-occurrence fragment".to_string());
-        }
-        if c.offsets.len() != n + 1 || c.offsets.first() != Some(&0) {
-            return Err(format!(
-                "CSR offsets length {} does not match {} fragments",
-                c.offsets.len(),
-                n
-            ));
-        }
-        if c.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("CSR offsets are not monotone".to_string());
-        }
-        let edges = *c.offsets.last().unwrap() as usize;
-        if c.neighbors.len() != edges || c.counts.len() != edges {
-            return Err(format!(
-                "truncated CSR: offsets expect {} edges, found {} neighbors / {} counts",
-                edges,
-                c.neighbors.len(),
-                c.counts.len()
-            ));
-        }
-        let mut ids: HashMap<QueryFragment, FragmentId> = HashMap::with_capacity(n);
-        for (slot, fragment) in c.fragments.iter().enumerate() {
-            if ids
-                .insert(fragment.clone(), FragmentId(slot as u32))
-                .is_some()
-            {
-                return Err(format!("duplicate interned fragment {fragment}"));
-            }
-        }
-        let mut denominators = Vec::with_capacity(edges);
-        let mut max_dice = vec![0.0f64; n];
-        let mut pair_degree = vec![0u32; n];
-        for lo in 0..n {
-            let (start, end) = (c.offsets[lo] as usize, c.offsets[lo + 1] as usize);
-            let mut prev: Option<u32> = None;
-            for e in start..end {
-                let hi = c.neighbors[e];
-                if (hi as usize) >= n || hi <= lo as u32 {
-                    return Err(format!("CSR neighbor {hi} out of range for row {lo}"));
-                }
-                if prev.is_some_and(|p| p >= hi) {
-                    return Err(format!("CSR row {lo} neighbors are not strictly sorted"));
-                }
-                prev = Some(hi);
-                pair_degree[lo] += 1;
-                pair_degree[hi as usize] += 1;
-                let count = c.counts[e];
-                if count == 0 || count > c.occurrences[lo].min(c.occurrences[hi as usize]) {
-                    return Err(format!(
-                        "co-occurrence count {count} of pair ({lo}, {hi}) is inconsistent \
-                         with its occurrence counts"
-                    ));
-                }
-                let denominator = c.occurrences[lo] + c.occurrences[hi as usize];
-                denominators.push(denominator);
-                let dice = (2.0 * count as f64) / (denominator as f64);
-                if dice > max_dice[lo] {
-                    max_dice[lo] = dice;
-                }
-                if dice > max_dice[hi as usize] {
-                    max_dice[hi as usize] = dice;
-                }
-            }
-        }
-        Ok(QueryFragmentGraph {
-            obscurity: c.obscurity,
-            interner: FragmentInterner {
-                ids,
-                fragments: c.fragments,
-                free: Vec::new(),
-            },
-            occurrences: c.occurrences,
-            pair_degree,
-            live_edges: edges,
-            csr: CsrAdjacency {
-                offsets: c.offsets,
-                neighbors: c.neighbors,
-                counts: c.counts,
-                denominators,
-            },
-            delta: BTreeMap::new(),
-            runs: Vec::new(),
-            run_fold_threshold: DELTA_RUN_FOLD,
-            max_dice,
-            occurrences_dirty: false,
-            query_count: c.query_count as usize,
-            compactions: 0,
-            run_folds: 0,
-            run_merges: 0,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Sectioned serialization (snapshot format v3)
+// Sectioned serialization (snapshot sections)
 // ---------------------------------------------------------------------------
 //
-// The v2 body (`to_value`) compacts a *clone* of the graph and densifies it
-// to live ids — a second full copy of the whole state in memory at write
-// time.  The v3 snapshot instead serializes the graph **as-is**, one
-// independent section at a time (interner table, occurrence column, CSR
-// adjacency, pending delta runs), so a streaming writer holds at most one
-// section and no clone, and pending work survives a snapshot without a
-// forced full compaction.  Dead (recyclable) interner slots are written as
-// `null` so raw slot ids in the CSR and the runs stay valid verbatim.
+// A snapshot serializes the graph **as-is**, one independent section at a
+// time (interner table, occurrence column, CSR adjacency, pending delta
+// runs), so a streaming writer holds at most one section and no clone, and
+// pending work survives a snapshot without a forced full compaction.  Dead
+// (recyclable) interner slots are written as `null` so raw slot ids in the
+// CSR, the runs and the snapshot's log sections stay valid verbatim.
 
 impl QueryFragmentGraph {
     fn slot_live(&self, slot: usize) -> bool {
@@ -1390,46 +1289,67 @@ impl QueryFragmentGraph {
         serde::Value::Seq(runs)
     }
 
-    /// Rebuild a graph from its v3 sections, validating every structural
+    /// Decode section `qfg/fragments` into the slot table, dead slots as
+    /// `None`.  Separate from [`QueryFragmentGraph::from_sections`] so a
+    /// snapshot reader can resolve slot ids (its log sections) before the
+    /// rest of the graph arrives.
+    pub fn fragment_table(fragments: &serde::Value) -> Result<Vec<Option<QueryFragment>>, String> {
+        let slots = fragments
+            .as_seq()
+            .ok_or("fragments section is not a sequence")?;
+        slots
+            .iter()
+            .enumerate()
+            .map(|(slot, value)| match value {
+                serde::Value::Null => Ok(None),
+                value => QueryFragment::from_value(value)
+                    .map(Some)
+                    .map_err(|e| format!("fragment slot {slot}: {e}")),
+            })
+            .collect()
+    }
+
+    /// Rebuild a graph from its sections (the fragment table decoded by
+    /// [`QueryFragmentGraph::fragment_table`]), validating every structural
     /// invariant so a corrupted section surfaces as a typed error.  The
     /// result is observationally identical to the graph that was written:
     /// raw slot ids, dead slots and pending runs are restored verbatim.
     pub fn from_sections(
         obscurity: Obscurity,
         query_count: u64,
-        fragments: &serde::Value,
+        fragments: Vec<Option<QueryFragment>>,
         occurrences: &serde::Value,
         adjacency: &serde::Value,
         runs: &serde::Value,
     ) -> Result<Self, String> {
-        let fragment_slots = fragments
-            .as_seq()
-            .ok_or("fragments section is not a sequence")?;
-        let n = fragment_slots.len();
+        let n = fragments.len();
         let mut table: Vec<QueryFragment> = Vec::with_capacity(n);
         let mut ids: HashMap<QueryFragment, FragmentId> = HashMap::new();
         let mut free: Vec<u32> = Vec::new();
-        for (slot, value) in fragment_slots.iter().enumerate() {
-            if matches!(value, serde::Value::Null) {
+        let mut live: Vec<bool> = Vec::with_capacity(n);
+        for (slot, fragment) in fragments.into_iter().enumerate() {
+            live.push(fragment.is_some());
+            match fragment {
                 // Dead slot: keep a placeholder fragment that can never be
                 // interned (contexts are never empty-expr), mirroring the
                 // in-memory state where a released slot's fragment is
                 // unreachable through the id map.
-                table.push(QueryFragment {
-                    expr: String::new(),
-                    context: crate::fragment::QueryContext::Select,
-                });
-                free.push(slot as u32);
-            } else {
-                let fragment = QueryFragment::from_value(value)
-                    .map_err(|e| format!("fragment slot {slot}: {e}"))?;
-                if ids
-                    .insert(fragment.clone(), FragmentId(slot as u32))
-                    .is_some()
-                {
-                    return Err(format!("duplicate interned fragment {fragment}"));
+                None => {
+                    table.push(QueryFragment {
+                        expr: String::new(),
+                        context: crate::fragment::QueryContext::Select,
+                    });
+                    free.push(slot as u32);
                 }
-                table.push(fragment);
+                Some(fragment) => {
+                    if ids
+                        .insert(fragment.clone(), FragmentId(slot as u32))
+                        .is_some()
+                    {
+                        return Err(format!("duplicate interned fragment {fragment}"));
+                    }
+                    table.push(fragment);
+                }
             }
         }
         let occurrence_values = occurrences
@@ -1447,11 +1367,10 @@ impl QueryFragmentGraph {
             let count = value
                 .as_u64()
                 .ok_or_else(|| format!("occurrence {slot} is not an unsigned integer"))?;
-            let live = !matches!(fragment_slots[slot], serde::Value::Null);
-            if live && count == 0 {
+            if live[slot] && count == 0 {
                 return Err(format!("live fragment slot {slot} has zero occurrences"));
             }
-            if !live && count != 0 {
+            if !live[slot] && count != 0 {
                 return Err(format!("dead fragment slot {slot} has nonzero occurrences"));
             }
             occ.push(count);
@@ -1772,7 +1691,7 @@ mod tests {
         let batch = QueryFragmentGraph::build(&log, Obscurity::NoConst);
         let mut incremental = QueryFragmentGraph::build(&QueryLog::new(), Obscurity::NoConst);
         for q in log.queries() {
-            incremental.add_query(q);
+            incremental.ingest(q);
         }
         assert_eq!(batch.fragment_count(), incremental.fragment_count());
         assert_eq!(batch.edge_count(), incremental.edge_count());
@@ -1891,8 +1810,8 @@ mod tests {
         assert_eq!(qfg.max_dice_by_id(id), 1.0);
         qfg.compact();
         assert!(qfg.max_dice_by_id(id) < 1.0);
-        // A serde round-trip (snapshot load) restores the exact column.
-        let back = QueryFragmentGraph::from_value(&serde::Serialize::to_value(&qfg)).unwrap();
+        // A sectioned round-trip (snapshot load) restores the exact column.
+        let back = round_trip_sections(&qfg).unwrap();
         assert_eq!(back.max_dice_by_id(id), qfg.max_dice_by_id(id));
     }
 
@@ -1942,40 +1861,6 @@ mod tests {
                 assert_eq!(pop[i].to_bits(), expected.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_observational_state() {
-        let mut qfg = QueryFragmentGraph::build(&figure3_log(), Obscurity::NoConstOp);
-        // Leave some pending delta so serialization exercises the
-        // compact-on-write path.
-        let (extra, _) = QueryLog::from_sql(["SELECT p.year FROM publication p"]);
-        qfg.ingest(&extra.queries()[0]);
-        let value = serde::Serialize::to_value(&qfg);
-        let back = QueryFragmentGraph::from_value(&value).unwrap();
-        assert_eq!(back, qfg);
-        assert!(back.is_compacted());
-        assert_eq!(back.query_count(), qfg.query_count());
-    }
-
-    #[test]
-    fn corrupted_columnar_bodies_are_rejected() {
-        let qfg = QueryFragmentGraph::build(&figure3_log(), Obscurity::NoConstOp);
-        let value = serde::Serialize::to_value(&qfg);
-        // Truncate the neighbor column: offsets promise more edges.
-        let serde::Value::Map(mut fields) = value.clone() else {
-            panic!("columnar body must be a map")
-        };
-        for (key, field) in &mut fields {
-            if key == "neighbors" {
-                let serde::Value::Seq(items) = field else {
-                    panic!("neighbors must be a seq")
-                };
-                items.pop();
-            }
-        }
-        let err = QueryFragmentGraph::from_value(&serde::Value::Map(fields)).unwrap_err();
-        assert!(err.to_string().contains("truncated CSR"), "{err}");
     }
 
     // -- tiered delta-log compaction ------------------------------------
@@ -2088,10 +1973,22 @@ mod tests {
         );
     }
 
-    // -- sectioned (v3) serialization -----------------------------------
+    // -- sectioned serialization -----------------------------------------
+
+    /// Export a graph's sections and rebuild it from them.
+    fn round_trip_sections(qfg: &QueryFragmentGraph) -> Result<QueryFragmentGraph, String> {
+        QueryFragmentGraph::from_sections(
+            qfg.obscurity(),
+            qfg.query_count() as u64,
+            QueryFragmentGraph::fragment_table(&qfg.fragments_section())?,
+            &qfg.occurrences_section(),
+            &qfg.adjacency_section(),
+            &qfg.runs_section(),
+        )
+    }
 
     /// A graph with dead interner slots, a compacted baseline, *and*
-    /// pending runs + mutable delta — the richest v3 shape.
+    /// pending runs + mutable delta — the richest sectioned shape.
     fn sectioned_fixture() -> QueryFragmentGraph {
         let queries = churn_queries(60);
         let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
@@ -2119,15 +2016,7 @@ mod tests {
     #[test]
     fn sections_round_trip_uncompacted_graphs_verbatim() {
         let qfg = sectioned_fixture();
-        let back = QueryFragmentGraph::from_sections(
-            qfg.obscurity(),
-            qfg.query_count() as u64,
-            &qfg.fragments_section(),
-            &qfg.occurrences_section(),
-            &qfg.adjacency_section(),
-            &qfg.runs_section(),
-        )
-        .unwrap();
+        let back = round_trip_sections(&qfg).unwrap();
         assert_eq!(back, qfg);
         assert_eq!(back.query_count(), qfg.query_count());
         assert_eq!(back.pending_delta_len(), qfg.pending_delta_len());
@@ -2155,7 +2044,8 @@ mod tests {
         let adjacency = qfg.adjacency_section();
         let runs = qfg.runs_section();
         let rebuild = |f: &serde::Value, o: &serde::Value, a: &serde::Value, r: &serde::Value| {
-            QueryFragmentGraph::from_sections(Obscurity::NoConstOp, 60, f, o, a, r)
+            let table = QueryFragmentGraph::fragment_table(f)?;
+            QueryFragmentGraph::from_sections(Obscurity::NoConstOp, 60, table, o, a, r)
         };
         // Occurrence column shorter than the fragment table.
         let serde::Value::Seq(mut occ) = occurrences.clone() else {

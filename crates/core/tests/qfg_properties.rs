@@ -3,6 +3,8 @@
 //!
 //! * incremental `ingest` over a shuffled log ≡ batch `build`,
 //! * `remove` is the exact inverse of `ingest`,
+//! * a [`FragmentLog`] driving `ingest_fragments` / `remove_fragments`
+//!   keeps the graph equal to a batch build over the surviving queries,
 //! * the interned/columnar graph is observationally equivalent to the
 //!   reference map-based model it replaced (same occurrence, co-occurrence
 //!   and Dice values within 1e-12) under arbitrary ingest/remove/compact
@@ -13,7 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
-use templar_core::{fragments_of_query, Obscurity, QueryFragment, QueryFragmentGraph, QueryLog};
+use templar_core::{
+    fragments_of_query, FragmentLog, Obscurity, QueryFragment, QueryFragmentGraph, QueryLog,
+};
 
 /// Tables and columns of the miniature academic schema used to generate
 /// random-but-parsable SQL.
@@ -441,6 +445,68 @@ proptest! {
         }
     }
 
+    /// The serving loop's bookkeeping: a bounded [`FragmentLog`] whose
+    /// evicted entries are removed with `remove_fragments`, under an
+    /// arbitrary schedule of ingests, evictions and compactions, keeps the
+    /// graph equal to a batch build over exactly the surviving queries.
+    /// Along the way `remove(&q)` behaves exactly like `remove_fragments`
+    /// on `q`'s entry — same verdict, same resulting graph — including for
+    /// queries that were never ingested.
+    #[test]
+    fn fragment_log_eviction_keeps_the_graph_equal_to_a_rebuild(
+        sqls in log_strategy(),
+        probes in log_strategy(),
+        threshold in 1usize..24,
+        op_seed in any::<u64>(),
+    ) {
+        let obscurity = Obscurity::NoConstOp;
+        let queries = parse_log(&sqls);
+        let probes = parse_log(&probes);
+        let mut rng = StdRng::seed_from_u64(op_seed);
+        let mut log = FragmentLog::new(obscurity);
+        let mut survivors: std::collections::VecDeque<sqlparse::Query> = Default::default();
+        let mut graph = QueryFragmentGraph::empty(obscurity);
+        graph.set_run_fold_threshold(threshold);
+        for query in queries.queries() {
+            match rng.next_u64() % 4 {
+                0 => {
+                    if let Some(old) = log.pop_oldest() {
+                        let evicted = survivors.pop_front().unwrap();
+                        prop_assert_eq!(&old, &FragmentLog::entry(&evicted, obscurity));
+                        prop_assert!(graph.remove_fragments(&old));
+                    }
+                }
+                1 => graph.compact(),
+                _ => {}
+            }
+            let entry = FragmentLog::entry(query, obscurity);
+            graph.ingest_fragments(&entry);
+            log.push_fragments(entry);
+            survivors.push_back(query.clone());
+            // `remove(&q)` ≡ `remove_fragments(entry(q))`, on both a
+            // logged query and an arbitrary probe.
+            let probe = &probes.queries()[(rng.next_u64() as usize) % probes.len()];
+            for candidate in [query, probe] {
+                let (mut by_query, mut by_entry) = (graph.clone(), graph.clone());
+                prop_assert_eq!(
+                    by_query.remove(candidate),
+                    by_entry.remove_fragments(&FragmentLog::entry(candidate, obscurity))
+                );
+                prop_assert_eq!(&by_query, &by_entry);
+            }
+            prop_assert_eq!(log.len(), graph.query_count());
+        }
+        let rebuilt = QueryFragmentGraph::build(
+            &QueryLog::from_queries(survivors.iter().cloned().collect()),
+            obscurity,
+        );
+        prop_assert_eq!(&graph, &rebuilt);
+        prop_assert_eq!(&log, &FragmentLog::from_log(
+            &QueryLog::from_queries(survivors.into_iter().collect()),
+            obscurity,
+        ));
+    }
+
     /// Tiered compaction is observation-neutral at *every* tier state: with
     /// a tiny run-fold threshold forcing deltas into sorted runs constantly,
     /// an arbitrary interleaving of ingests, removes, partial folds and full
@@ -506,7 +572,7 @@ proptest! {
         prop_assert_eq!(model.co_occurrences.len(), compacted.edge_count());
     }
 
-    /// A v3 sectioned export of the graph — at an arbitrary uncompacted
+    /// A sectioned export of the graph — at an arbitrary uncompacted
     /// tier state — reconstructs the *identical* graph, section for
     /// section: same interner slots, same occurrence column, same CSR, same
     /// pending runs, without forcing a compaction on either side.
@@ -535,7 +601,7 @@ proptest! {
         let back = QueryFragmentGraph::from_sections(
             obscurity,
             graph.query_count() as u64,
-            &graph.fragments_section(),
+            QueryFragmentGraph::fragment_table(&graph.fragments_section()).unwrap(),
             &graph.occurrences_section(),
             &graph.adjacency_section(),
             &graph.runs_section(),

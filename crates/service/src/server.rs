@@ -19,9 +19,12 @@
 //!   worker rebuilds the next snapshot *outside* any lock and publishes it
 //!   with an O(1) pointer swap ([`SharedTemplar`]).
 //! * **Ingestion is incremental.**  The worker owns a master
-//!   [`QueryLog`] + [`QueryFragmentGraph`] pair and applies each logged
-//!   query with [`QueryFragmentGraph::ingest`] (`O(fragments²)`), instead of
-//!   rebuilding the graph from the log.  Publishing a snapshot costs one
+//!   [`FragmentLog`] + [`QueryFragmentGraph`] pair, extracts each logged
+//!   query's fragments once, and applies them with
+//!   [`QueryFragmentGraph::ingest_fragments`] (`O(fragments²)`) — eviction
+//!   removes the same entry with
+//!   [`QueryFragmentGraph::remove_fragments`] — instead of rebuilding the
+//!   graph from the log.  Publishing a snapshot costs one
 //!   graph clone + `Templar::from_parts`.
 //! * **Refresh is epoch-style.**  A new snapshot is published every
 //!   `refresh_every` applied entries, or after `refresh_interval` when a
@@ -53,8 +56,8 @@ use templar_api::{
     ApiError, MetricsReport, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse,
 };
 use templar_core::{
-    CandidateMemo, Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog, SharedTemplar, Templar,
-    TemplarConfig, TraceCtx, TraceSpans,
+    CandidateMemo, FragmentLog, Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog,
+    SharedTemplar, Templar, TemplarConfig, TraceCtx, TraceSpans,
 };
 
 /// File name of the durable snapshot inside a service's durable directory.
@@ -67,7 +70,7 @@ pub const LOCK_FILE: &str = "LOCK";
 /// Master mutable serving state, owned by the ingestion worker (and briefly
 /// borrowed by `save_snapshot` / `force_refresh`).
 struct MasterState {
-    log: QueryLog,
+    log: FragmentLog,
     qfg: QueryFragmentGraph,
     /// Applied entries not yet reflected in a published snapshot.
     pending_since_swap: usize,
@@ -188,7 +191,7 @@ impl TemplarService {
         let qfg = QueryFragmentGraph::build(initial_log, templar_config.obscurity);
         Self::spawn_from_state(
             db,
-            initial_log.clone(),
+            FragmentLog::from_log(initial_log, templar_config.obscurity),
             qfg,
             similarity,
             templar_config,
@@ -337,7 +340,7 @@ impl TemplarService {
             (snap.log, snap.qfg, watermark)
         } else {
             (
-                QueryLog::new(),
+                FragmentLog::new(templar_config.obscurity),
                 QueryFragmentGraph::empty(templar_config.obscurity),
                 0,
             )
@@ -362,8 +365,9 @@ impl TemplarService {
                 for (_seq, sql) in batch {
                     match parse_query(sql) {
                         Ok(query) => {
-                            qfg.ingest(&query);
-                            log.push(query);
+                            let entry = FragmentLog::entry(&query, log.obscurity());
+                            qfg.ingest_fragments(&entry);
+                            log.push_fragments(entry);
                         }
                         Err(_) => replay_parse_errors += 1,
                     }
@@ -371,7 +375,7 @@ impl TemplarService {
                 if let Some(cap) = cap {
                     while log.len() > cap {
                         if let Some(old) = log.pop_oldest() {
-                            qfg.remove(&old);
+                            qfg.remove_fragments(&old);
                         }
                     }
                 }
@@ -439,7 +443,7 @@ impl TemplarService {
 
     fn spawn_from_state(
         db: Arc<Database>,
-        log: QueryLog,
+        log: FragmentLog,
         qfg: QueryFragmentGraph,
         similarity: TextSimilarity,
         templar_config: TemplarConfig,
@@ -460,7 +464,7 @@ impl TemplarService {
     #[allow(clippy::too_many_arguments)]
     fn spawn_from_parts(
         db: Arc<Database>,
-        log: QueryLog,
+        log: FragmentLog,
         qfg: QueryFragmentGraph,
         similarity: TextSimilarity,
         templar_config: TemplarConfig,
@@ -891,11 +895,11 @@ impl TemplarService {
         Ok(())
     }
 
-    /// Compact the master graph in place (the serializer would otherwise
-    /// clone it a second time to compact the copy) and clone the state for
-    /// persistence.  The master lock is held only for the clone — disk I/O
-    /// always happens after it is released.
-    fn clone_master_state(&self) -> (QueryLog, QueryFragmentGraph, u64) {
+    /// Compact the master graph in place, so the snapshot carries no
+    /// pending runs, and clone the state for persistence: a graph clone
+    /// plus one refcount bump per log entry.  The master lock is held only
+    /// for the clone — disk I/O always happens after it is released.
+    fn clone_master_state(&self) -> (FragmentLog, QueryFragmentGraph, u64) {
         let mut master = self.inner.master.lock();
         master.qfg.compact();
         (master.log.clone(), master.qfg.clone(), master.applied_seq)
@@ -1232,18 +1236,23 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
         let mut applied = 0u64;
         let mut parse_errors = empty_entries;
         let mut evictions = 0u64;
+        // Parse and extract each entry's fragments before taking the master
+        // lock: the obscurity level is fixed, so the lock covers only the
+        // graph and log updates.
+        let obscurity = inner.templar_config.obscurity;
+        let entries: Vec<_> = batch
+            .iter()
+            .filter_map(|sql| parse_query(sql).ok())
+            .map(|query| FragmentLog::entry(&query, obscurity))
+            .collect();
+        parse_errors += (batch.len() - entries.len()) as u64;
         let to_publish: Option<QueryFragmentGraph> = {
             let mut master = inner.master.lock();
-            for sql in &batch {
-                match parse_query(sql) {
-                    Ok(query) => {
-                        master.qfg.ingest(&query);
-                        master.log.push(query);
-                        master.pending_since_swap += 1;
-                        applied += 1;
-                    }
-                    Err(_) => parse_errors += 1,
-                }
+            for entry in entries {
+                master.qfg.ingest_fragments(&entry);
+                master.log.push_fragments(entry);
+                master.pending_since_swap += 1;
+                applied += 1;
             }
             if let Some(last_seq) = last_seq {
                 master.applied_seq = last_seq;
@@ -1251,7 +1260,7 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
             if let Some(cap) = config.max_log_entries {
                 while master.log.len() > cap {
                     if let Some(old) = master.log.pop_oldest() {
-                        master.qfg.remove(&old);
+                        master.qfg.remove_fragments(&old);
                         evictions += 1;
                     }
                 }

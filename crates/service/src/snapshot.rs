@@ -1,14 +1,14 @@
 //! Versioned on-disk snapshots of the serving state.
 //!
-//! A snapshot captures the live [`QueryLog`] *and* the
+//! A snapshot captures the live [`FragmentLog`] *and* the
 //! [`QueryFragmentGraph`] built from it, so a restarted service resumes
 //! serving log-informed translations immediately — no re-parse and no QFG
 //! rebuild of a potentially multi-million-entry log.
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! ```text
-//! TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp [watermark=N] sections=K\n
+//! TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp [watermark=N] sections=K\n
 //! [len u32 LE][crc32 u32 LE][name_len u16 LE][name][payload]   ← section 0
 //! [len u32 LE][crc32 u32 LE][name_len u16 LE][name][payload]   ← section 1
 //! …                                                            ← section K-1
@@ -17,30 +17,48 @@
 //! The body is `K` independent *sections*, each framed exactly like a WAL
 //! record (`len` counts the body after the 8-byte frame header; the CRC —
 //! the same [`crate::wal::crc32`] — covers `name_len + name + payload`).
-//! The payload of every section is one self-contained JSON document.
-//! Sections appear in a fixed order:
+//! The payload of every section is one `serde::Value` in the tagged binary
+//! encoding of [`templar_api::binary`] — the codec the wire protocol already
+//! hardens against hostile frames (typed truncation, a depth bound, bounded
+//! preallocation).  Sections appear in a fixed order:
 //!
-//! | section          | payload                                            |
-//! |------------------|----------------------------------------------------|
-//! | `meta`           | log length, log chunk count, query count, obscurity|
-//! | `log/0` … `log/c-1` | chunks of ≤ [`LOG_SECTION_CHUNK`] logged queries|
-//! | `qfg/fragments`  | the full interner table, dead slots as `null`      |
-//! | `qfg/occurrences`| the raw `n_v` column, 0 for dead slots             |
-//! | `qfg/adjacency`  | the compacted CSR baseline (offsets/neighbors/counts)|
-//! | `qfg/runs`       | pending tiered delta runs, mutable delta last      |
+//! | section             | payload                                          |
+//! |---------------------|--------------------------------------------------|
+//! | `meta`              | obscurity, log length, log chunk count, query count |
+//! | `qfg/fragments`     | the full interner table, dead slots as `null`    |
+//! | `log/0` … `log/c-1` | chunks of ≤ [`LOG_SECTION_CHUNK`] log entries    |
+//! | `qfg/occurrences`   | the raw `n_v` column, 0 for dead slots           |
+//! | `qfg/adjacency`     | the compacted CSR baseline (offsets/neighbors/counts) |
+//! | `qfg/runs`          | pending tiered delta runs, mutable delta last    |
 //!
-//! Compared to v2 — one monolithic JSON document that forced the writer to
-//! materialize the entire serialized state (and a *compacted clone* of the
-//! graph) in memory, and the reader to buffer and parse it all at once —
-//! the sectioned layout is written and read **streaming**: the writer holds
-//! one serialized section at a time and serializes the graph *as-is* (no
-//! clone, no forced compaction — pending tiered runs survive a snapshot
-//! verbatim), and the reader validates section-by-section, so a torn or
-//! bit-flipped section is caught by length/CRC checks before any parsing.
+//! A log entry is the ascending slot ids, in `qfg/fragments`, of its
+//! query's distinct fragments — what the graph uses the log for — so an
+//! entry costs a handful of bytes instead of a serialized SQL AST.  Ids are
+//! sound on disk because a live entry pins each of its fragments'
+//! occurrence counts at ≥ 1, so those slots are live and never recycled
+//! while the entry exists; the writer returns [`SnapshotError::Corrupt`] if
+//! a logged fragment has no live id.  The fragment table precedes the log,
+//! so the reader resolves each chunk while streaming.  It rejects as
+//! [`SnapshotError::Corrupt`] an id beyond the table or naming a dead slot,
+//! an entry whose ids are not strictly ascending, per-slot tallies over the
+//! log that disagree with `qfg/occurrences`, and an entry count that differs
+//! from `meta.log_len` or from the graph's query count.
 //!
-//! **Migration:** v2 snapshots still load natively (single-document body,
-//! columnar validation), and v1 snapshots load by rebuilding the graph from
-//! the stored log.  Both are only ever written back as v3.
+//! The writer streams one section at a time and serializes the graph
+//! *as-is* (no clone, no forced compaction — pending tiered runs survive a
+//! snapshot verbatim); the reader validates section by section, so a torn
+//! or bit-flipped section is caught by length/CRC checks before any
+//! decoding, and no declared length is allocated before it is checked
+//! against the bytes left in the file.
+//!
+//! **Migration:** versions 1–3 (which stored every logged query as a SQL
+//! AST in JSON) are rejected with [`SnapshotError::UnsupportedVersion`].
+//! To re-create a snapshot: if the write-ahead journal still holds the full
+//! history, delete the old snapshot and let
+//! [`TemplarService::recover`](crate::TemplarService::recover) replay the
+//! journal; otherwise start a service from the SQL log with
+//! [`TemplarService::spawn`](crate::TemplarService::spawn) and save a new
+//! snapshot.
 //!
 //! The header carries everything needed to *reject* a snapshot before
 //! touching the (potentially large) body:
@@ -75,46 +93,47 @@
 use crate::error::SnapshotError;
 use crate::storage::{FsStorage, Storage};
 use crate::wal::crc32;
-use serde::{Deserialize, Serialize};
-use sqlparse::Query;
-use std::fs;
+use serde::Value;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use templar_core::{Obscurity, QueryFragmentGraph, QueryLog};
+use std::sync::Arc;
+use templar_api::binary::{decode_value, encode_value};
+use templar_core::{FragmentLog, Obscurity, QueryFragment, QueryFragmentGraph};
 
 /// First token of every snapshot file.
 pub const SNAPSHOT_MAGIC: &str = "TEMPLAR-SNAPSHOT";
-/// The format version this build writes.
-pub const SNAPSHOT_VERSION: u32 = 3;
-/// The oldest format version this build still reads (via migration).
-pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u32 = 1;
-/// Logged queries per `log/<i>` section: bounds how much of the log a
+/// The format version this build writes, and the only one it reads.
+pub const SNAPSHOT_VERSION: u32 = 4;
+/// Log entries per `log/<i>` section: bounds how much of the log a
 /// streaming reader or writer holds decoded at any moment.
 pub const LOG_SECTION_CHUNK: usize = 4096;
 
 /// Bytes of framing per section: `len: u32` + `crc32: u32`.
 const SECTION_FRAME_HEADER: usize = 8;
-/// Largest section body a reader will buffer (1 GiB): a garbage length read
-/// from a damaged frame must not drive a giant allocation.
+/// Largest section body a reader will buffer (1 GiB), on top of the bound
+/// by the bytes left in the file.
 const MAX_SECTION_BYTES: u32 = 1 << 30;
 /// Longest header line a reader will scan for the newline terminator.
 const MAX_HEADER_BYTES: u64 = 4096;
+/// Sections besides the log chunks: `meta` and the four `qfg/*`.
+const FIXED_SECTIONS: u64 = 5;
 
 /// The deserialized content of a snapshot file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The query log at capture time.
-    pub log: QueryLog,
+    pub log: FragmentLog,
     /// The Query Fragment Graph over that log.
     pub qfg: QueryFragmentGraph,
 }
 
-/// Serialize the serving state to `path` (atomic replace, format v3).
+/// Serialize the serving state to `path` (atomic replace, format v4).
 /// Returns the total bytes written (header + all framed sections).
 pub fn write_snapshot(
     path: &Path,
-    log: &QueryLog,
+    log: &FragmentLog,
     qfg: &QueryFragmentGraph,
 ) -> Result<u64, SnapshotError> {
     write_snapshot_with_watermark(path, log, qfg, None)
@@ -126,7 +145,7 @@ pub fn write_snapshot(
 /// without a second `stat`.
 pub fn write_snapshot_with_watermark(
     path: &Path,
-    log: &QueryLog,
+    log: &FragmentLog,
     qfg: &QueryFragmentGraph,
     watermark: Option<u64>,
 ) -> Result<u64, SnapshotError> {
@@ -138,12 +157,18 @@ pub fn write_snapshot_with_watermark(
 pub fn write_snapshot_with(
     storage: &dyn Storage,
     path: &Path,
-    log: &QueryLog,
+    log: &FragmentLog,
     qfg: &QueryFragmentGraph,
     watermark: Option<u64>,
 ) -> Result<u64, SnapshotError> {
+    if log.obscurity() != qfg.obscurity() {
+        return Err(SnapshotError::ObscurityMismatch {
+            expected: qfg.obscurity(),
+            found: log.obscurity(),
+        });
+    }
     let log_chunks = log.len().div_ceil(LOG_SECTION_CHUNK);
-    let sections = 5 + log_chunks;
+    let sections = FIXED_SECTIONS + log_chunks as u64;
     let mut header = format!(
         "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} obscurity={}",
         qfg.obscurity().name()
@@ -181,41 +206,32 @@ pub fn write_snapshot_with(
         let mut out = BufWriter::new(file);
         let mut bytes = header.len() as u64;
         out.write_all(header.as_bytes())?;
-        // Stream one section at a time: each `write_section` serializes its
+        // Stream one section at a time: each `write_section` encodes its
         // payload, frames it, and drops it before the next is built — the
         // writer never materializes the whole body (or a clone of the
         // graph; the columns serialize as-is, pending runs included).
-        let meta = serde::Value::Map(vec![
+        let meta = Value::Map(vec![
             (
                 "obscurity".to_string(),
-                serde::Value::Str(qfg.obscurity().name().to_string()),
+                Value::Str(qfg.obscurity().name().to_string()),
             ),
-            ("log_len".to_string(), serde::Value::U64(log.len() as u64)),
-            (
-                "log_chunks".to_string(),
-                serde::Value::U64(log_chunks as u64),
-            ),
+            ("log_len".to_string(), Value::U64(log.len() as u64)),
+            ("log_chunks".to_string(), Value::U64(log_chunks as u64)),
             (
                 "query_count".to_string(),
-                serde::Value::U64(qfg.query_count() as u64),
+                Value::U64(qfg.query_count() as u64),
             ),
         ]);
         bytes += write_section(&mut out, "meta", &meta)?;
-        let queries = log.queries();
+        bytes += write_section(&mut out, "qfg/fragments", &qfg.fragments_section())?;
         for chunk in 0..log_chunks {
-            let lo = chunk * LOG_SECTION_CHUNK;
-            let hi = (lo + LOG_SECTION_CHUNK).min(queries.len());
-            let payload = serde::Value::Seq(
-                queries
-                    .iter()
-                    .skip(lo)
-                    .take(hi - lo)
-                    .map(|q| q.to_value())
-                    .collect(),
-            );
+            let first = chunk * LOG_SECTION_CHUNK;
+            let entries = log
+                .entries()
+                .range(first..log.len().min(first + LOG_SECTION_CHUNK));
+            let payload = log_chunk(qfg, first, entries)?;
             bytes += write_section(&mut out, &format!("log/{chunk}"), &payload)?;
         }
-        bytes += write_section(&mut out, "qfg/fragments", &qfg.fragments_section())?;
         bytes += write_section(&mut out, "qfg/occurrences", &qfg.occurrences_section())?;
         bytes += write_section(&mut out, "qfg/adjacency", &qfg.adjacency_section())?;
         bytes += write_section(&mut out, "qfg/runs", &qfg.runs_section())?;
@@ -237,18 +253,45 @@ pub fn write_snapshot_with(
     result
 }
 
+/// One `log/<i>` payload: per entry, the ascending slot ids of its
+/// fragments in `qfg/fragments`.  `first` is the index of the chunk's
+/// first entry, for the error message.
+fn log_chunk<'a>(
+    qfg: &QueryFragmentGraph,
+    first: usize,
+    entries: impl Iterator<Item = &'a Arc<[QueryFragment]>>,
+) -> Result<Value, SnapshotError> {
+    entries
+        .enumerate()
+        .map(|(i, entry)| {
+            let mut ids = entry
+                .iter()
+                .map(|fragment| {
+                    qfg.lookup(fragment)
+                        .map(|id| id.index() as u64)
+                        .ok_or_else(|| {
+                            SnapshotError::Corrupt(format!(
+                                "log entry {} names fragment {fragment}, which has no live id \
+                                 in the graph",
+                                first + i
+                            ))
+                        })
+                })
+                .collect::<Result<Vec<u64>, _>>()?;
+            ids.sort_unstable();
+            Ok(Value::Seq(ids.into_iter().map(Value::U64).collect()))
+        })
+        .collect::<Result<Vec<Value>, _>>()
+        .map(Value::Seq)
+}
+
 /// Frame one section: `[len][crc][name_len][name][payload]`, CRC over
 /// everything after the 8-byte frame header.  Returns the framed size.
-fn write_section(
-    out: &mut impl Write,
-    name: &str,
-    payload: &serde::Value,
-) -> Result<u64, SnapshotError> {
-    let json = serde_json::to_string(payload).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let mut body = Vec::with_capacity(2 + name.len() + json.len());
+fn write_section(out: &mut impl Write, name: &str, payload: &Value) -> Result<u64, SnapshotError> {
+    let mut body = Vec::with_capacity(2 + name.len());
     body.extend_from_slice(&(name.len() as u16).to_le_bytes());
     body.extend_from_slice(name.as_bytes());
-    body.extend_from_slice(json.as_bytes());
+    encode_value(payload, &mut body);
     if body.len() as u64 > MAX_SECTION_BYTES as u64 {
         return Err(SnapshotError::Corrupt(format!(
             "section `{name}` exceeds the {MAX_SECTION_BYTES}-byte frame limit"
@@ -260,38 +303,66 @@ fn write_section(
     Ok((SECTION_FRAME_HEADER + body.len()) as u64)
 }
 
-/// Read one framed section: validates the length bound and the CRC before
-/// parsing the payload, so torn or bit-flipped sections surface as
-/// [`SnapshotError::Corrupt`] without any JSON work.
-fn read_section(reader: &mut impl Read) -> Result<(String, serde::Value), SnapshotError> {
-    let mut frame = [0u8; SECTION_FRAME_HEADER];
-    reader.read_exact(&mut frame).map_err(eof_is_torn)?;
-    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
-    let stored_crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-    if !(2..=MAX_SECTION_BYTES).contains(&len) {
-        return Err(SnapshotError::Corrupt(format!(
-            "section frame length {len} out of range"
-        )));
+/// The section stream of a snapshot body, tracking how many bytes of the
+/// file remain so no declared length is allocated beyond them.
+struct Sections<R> {
+    reader: R,
+    remaining: u64,
+}
+
+impl<R: Read> Sections<R> {
+    /// Read one framed section: validates the length against the bytes
+    /// left in the file and the CRC before decoding the payload, so torn or
+    /// bit-flipped sections surface as [`SnapshotError::Corrupt`] without
+    /// any decoding work — and a damaged length cannot drive a giant
+    /// allocation.
+    fn next(&mut self) -> Result<(String, Value), SnapshotError> {
+        let mut frame = [0u8; SECTION_FRAME_HEADER];
+        self.reader.read_exact(&mut frame).map_err(eof_is_torn)?;
+        self.remaining = self.remaining.saturating_sub(SECTION_FRAME_HEADER as u64);
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+        let stored_crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+        if !(2..=MAX_SECTION_BYTES).contains(&len) {
+            return Err(SnapshotError::Corrupt(format!(
+                "section frame length {len} out of range"
+            )));
+        }
+        if u64::from(len) > self.remaining {
+            return Err(SnapshotError::Corrupt(format!(
+                "torn snapshot: section frame claims {len} bytes, {} remain in the file",
+                self.remaining
+            )));
+        }
+        self.remaining -= u64::from(len);
+        let mut body = vec![0u8; len as usize];
+        self.reader.read_exact(&mut body).map_err(eof_is_torn)?;
+        if crc32(&body) != stored_crc {
+            return Err(SnapshotError::Corrupt("section CRC mismatch".to_string()));
+        }
+        let name_len = u16::from_le_bytes([body[0], body[1]]) as usize;
+        if 2 + name_len > body.len() {
+            return Err(SnapshotError::Corrupt(
+                "section name overruns its frame".to_string(),
+            ));
+        }
+        let name = std::str::from_utf8(&body[2..2 + name_len])
+            .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".to_string()))?
+            .to_string();
+        let value = decode_value(&body[2 + name_len..])
+            .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))?;
+        Ok((name, value))
     }
-    let mut body = vec![0u8; len as usize];
-    reader.read_exact(&mut body).map_err(eof_is_torn)?;
-    if crc32(&body) != stored_crc {
-        return Err(SnapshotError::Corrupt("section CRC mismatch".to_string()));
+
+    /// The next section, which must be named `want`.
+    fn expect(&mut self, want: &str) -> Result<Value, SnapshotError> {
+        let (name, payload) = self.next()?;
+        if name != want {
+            return Err(SnapshotError::Corrupt(format!(
+                "expected section `{want}`, found `{name}`"
+            )));
+        }
+        Ok(payload)
     }
-    let name_len = u16::from_le_bytes([body[0], body[1]]) as usize;
-    if 2 + name_len > body.len() {
-        return Err(SnapshotError::Corrupt(
-            "section name overruns its frame".to_string(),
-        ));
-    }
-    let name = std::str::from_utf8(&body[2..2 + name_len])
-        .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".to_string()))?
-        .to_string();
-    let payload = std::str::from_utf8(&body[2 + name_len..])
-        .map_err(|_| SnapshotError::Corrupt(format!("section `{name}` payload is not UTF-8")))?;
-    let value = serde_json::parse_value(payload)
-        .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))?;
-    Ok((name, value))
 }
 
 /// A short read inside a section frame is a torn snapshot, not an I/O fault
@@ -304,11 +375,9 @@ fn eof_is_torn(e: std::io::Error) -> SnapshotError {
     }
 }
 
-/// Read and validate a snapshot, rejecting wrong magic, unsupported versions
-/// and — crucially — snapshots captured at a different obscurity level than
-/// `expected`.  Version 1 snapshots are migrated on the fly (see the module
-/// docs), version 2 is read as a single columnar document, and version 3 is
-/// read streaming, section by section.
+/// Read and validate a snapshot, rejecting wrong magic, any version but
+/// [`SNAPSHOT_VERSION`] and — crucially — snapshots captured at a different
+/// obscurity level than `expected`.
 pub fn read_snapshot(path: &Path, expected: Obscurity) -> Result<Snapshot, SnapshotError> {
     read_snapshot_with_watermark(path, expected).map(|(snapshot, _)| snapshot)
 }
@@ -329,6 +398,7 @@ pub fn read_snapshot_from(
     expected: Obscurity,
 ) -> Result<(Snapshot, u64), SnapshotError> {
     let file = storage.open_read(path)?;
+    let file_len = storage.file_len(path)?;
     let mut reader = BufReader::new(file);
     let mut line = Vec::new();
     (&mut reader)
@@ -337,6 +407,7 @@ pub fn read_snapshot_from(
     if line.last() != Some(&b'\n') {
         return Err(SnapshotError::BadMagic);
     }
+    let header_len = line.len() as u64;
     line.pop();
     let header = std::str::from_utf8(&line).map_err(|_| SnapshotError::BadMagic)?;
     let mut parts = header.split_whitespace();
@@ -348,7 +419,7 @@ pub fn read_snapshot_from(
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or(SnapshotError::BadMagic)?;
-    if !(SNAPSHOT_MIN_SUPPORTED_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
@@ -384,144 +455,158 @@ pub fn read_snapshot_from(
             )));
         }
     }
-    let snapshot = match version {
-        1 | 2 => {
-            let mut body = String::new();
-            reader.read_to_string(&mut body)?;
-            if version == 1 {
-                migrate_v1(&body, obscurity)?
-            } else {
-                serde_json::from_str::<Snapshot>(&body)
-                    .map_err(|e| SnapshotError::Corrupt(e.to_string()))?
-            }
-        }
-        _ => {
-            let sections = sections.ok_or_else(|| {
-                SnapshotError::Corrupt("v3 header is missing its section count".to_string())
-            })?;
-            read_v3_body(&mut reader, sections, obscurity)?
-        }
+    let sections = sections
+        .ok_or_else(|| SnapshotError::Corrupt("header is missing its section count".to_string()))?;
+    let mut body = Sections {
+        reader,
+        remaining: file_len.saturating_sub(header_len),
     };
-    if snapshot.qfg.obscurity() != obscurity {
-        return Err(SnapshotError::Corrupt(
-            "body obscurity disagrees with header".to_string(),
-        ));
-    }
+    let snapshot = read_body(&mut body, sections, obscurity)?;
     Ok((snapshot, watermark))
 }
 
-/// Decode the sectioned v3 body: sections arrive in the fixed order the
-/// writer produces, each CRC-validated before parsing, with the section
-/// count cross-checked against the header and the `meta` section and a
+/// Decode the sectioned body: sections arrive in the fixed order the writer
+/// produces, each CRC-validated before decoding, with the section count
+/// cross-checked against the header and the `meta` section, log chunks
+/// resolved against the fragment table as they stream in, and a
 /// trailing-garbage probe after the final section.
-fn read_v3_body(
-    reader: &mut impl Read,
+fn read_body(
+    body: &mut Sections<impl Read>,
     sections: u64,
     obscurity: Obscurity,
 ) -> Result<Snapshot, SnapshotError> {
-    let mut expect = |want: &str| -> Result<serde::Value, SnapshotError> {
-        let (name, payload) = read_section(reader)?;
-        if name != want {
-            return Err(SnapshotError::Corrupt(format!(
-                "expected section `{want}`, found `{name}`"
-            )));
-        }
-        Ok(payload)
-    };
-    let meta = expect("meta")?;
+    let corrupt = SnapshotError::Corrupt;
+    let meta = body.expect("meta")?;
     let meta_fields = meta
         .as_map()
-        .ok_or_else(|| SnapshotError::Corrupt("meta section is not a map".to_string()))?;
+        .ok_or_else(|| corrupt("meta section is not a map".to_string()))?;
+    let meta_field = |key: &str| meta_fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let meta_u64 = |key: &str| -> Result<u64, SnapshotError> {
-        meta_fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-            .ok_or_else(|| SnapshotError::Corrupt(format!("meta section is missing `{key}`")))
+        meta_field(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| corrupt(format!("meta section is missing `{key}`")))
     };
-    let meta_obscurity = meta_fields
-        .iter()
-        .find(|(k, _)| k == "obscurity")
-        .and_then(|(_, v)| v.as_str())
-        .ok_or_else(|| SnapshotError::Corrupt("meta section is missing `obscurity`".to_string()))?;
     // The header line is outside any CRC; the meta section repeats the
     // obscurity *inside* one, so a flipped header byte cannot silently
     // serve counts captured at another level.
-    if meta_obscurity != obscurity.name() {
-        return Err(SnapshotError::Corrupt(
-            "body obscurity disagrees with header".to_string(),
-        ));
+    if meta_field("obscurity").and_then(Value::as_str) != Some(obscurity.name()) {
+        return Err(corrupt("body obscurity disagrees with header".to_string()));
     }
     let log_len = meta_u64("log_len")?;
     let log_chunks = meta_u64("log_chunks")?;
     let query_count = meta_u64("query_count")?;
-    if sections != 5 + log_chunks {
-        return Err(SnapshotError::Corrupt(format!(
-            "header promises {sections} sections but meta implies {}",
-            5 + log_chunks
+    if log_chunks.checked_add(FIXED_SECTIONS) != Some(sections) {
+        return Err(corrupt(format!(
+            "header promises {sections} sections but meta implies {FIXED_SECTIONS} + {log_chunks}"
         )));
     }
-    let mut queries: Vec<Query> = Vec::with_capacity(log_len.min(1 << 20) as usize);
+    if log_len != query_count {
+        return Err(corrupt(format!(
+            "meta promises {log_len} log entries but a graph of {query_count} queries"
+        )));
+    }
+    let table =
+        QueryFragmentGraph::fragment_table(&body.expect("qfg/fragments")?).map_err(corrupt)?;
+    let mut log = FragmentLog::new(obscurity);
+    // How many entries name each slot: must equal `qfg/occurrences`.
+    let mut tally = vec![0u64; table.len()];
+    // Entries with the same fragment set share one allocation.
+    let mut shared: HashMap<Vec<u32>, Arc<[QueryFragment]>> = HashMap::new();
     for chunk in 0..log_chunks {
-        let payload = expect(&format!("log/{chunk}"))?;
-        let entries = payload.as_seq().ok_or_else(|| {
-            SnapshotError::Corrupt(format!("log chunk {chunk} is not a sequence"))
-        })?;
+        let payload = body.expect(&format!("log/{chunk}"))?;
+        let entries = payload
+            .as_seq()
+            .ok_or_else(|| corrupt(format!("log chunk {chunk} is not a sequence")))?;
         for entry in entries {
-            queries.push(
-                Query::from_value(entry)
-                    .map_err(|e| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}")))?,
-            );
+            let n = log.len();
+            if n as u64 == log_len {
+                return Err(corrupt(format!(
+                    "log sections hold more than the {log_len} entries meta promises"
+                )));
+            }
+            let ids = entry
+                .as_seq()
+                .ok_or_else(|| corrupt(format!("log entry {n} is not a sequence")))?;
+            let mut slots: Vec<u32> = Vec::with_capacity(ids.len().min(table.len()));
+            for id in ids {
+                let slot = id
+                    .as_u64()
+                    .ok_or_else(|| corrupt(format!("log entry {n} holds a non-integer id")))?;
+                let live = usize::try_from(slot)
+                    .ok()
+                    .and_then(|s| table.get(s))
+                    .ok_or_else(|| {
+                        corrupt(format!(
+                            "log entry {n} names slot {slot}, beyond the {}-slot fragment table",
+                            table.len()
+                        ))
+                    })?;
+                if live.is_none() {
+                    return Err(corrupt(format!(
+                        "log entry {n} names dead fragment slot {slot}"
+                    )));
+                }
+                if slots.last().is_some_and(|&prev| u64::from(prev) >= slot) {
+                    return Err(corrupt(format!(
+                        "log entry {n} ids are not strictly ascending"
+                    )));
+                }
+                slots.push(slot as u32);
+            }
+            for &slot in &slots {
+                tally[slot as usize] += 1;
+            }
+            let fragments = match shared.get(&slots) {
+                Some(fragments) => Arc::clone(fragments),
+                None => {
+                    let mut fragments: Vec<QueryFragment> = slots
+                        .iter()
+                        .filter_map(|&slot| table[slot as usize].clone())
+                        .collect();
+                    fragments.sort_unstable();
+                    let fragments: Arc<[QueryFragment]> = fragments.into();
+                    shared.insert(slots, Arc::clone(&fragments));
+                    fragments
+                }
+            };
+            log.push_fragments(fragments);
         }
     }
-    if queries.len() as u64 != log_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "log sections hold {} queries, meta promises {log_len}",
-            queries.len()
+    if log.len() as u64 != log_len {
+        return Err(corrupt(format!(
+            "log sections hold {} entries, meta promises {log_len}",
+            log.len()
         )));
     }
-    let fragments = expect("qfg/fragments")?;
-    let occurrences = expect("qfg/occurrences")?;
-    let adjacency = expect("qfg/adjacency")?;
-    let runs = expect("qfg/runs")?;
+    let occurrences = body.expect("qfg/occurrences")?;
+    let adjacency = body.expect("qfg/adjacency")?;
+    let runs = body.expect("qfg/runs")?;
     let mut probe = [0u8; 1];
-    if reader.read(&mut probe)? != 0 {
-        return Err(SnapshotError::Corrupt(
+    if body.reader.read(&mut probe)? != 0 {
+        return Err(corrupt(
             "trailing bytes after the final section".to_string(),
         ));
     }
     let qfg = QueryFragmentGraph::from_sections(
         obscurity,
         query_count,
-        &fragments,
+        table,
         &occurrences,
         &adjacency,
         &runs,
     )
-    .map_err(SnapshotError::Corrupt)?;
-    Ok(Snapshot {
-        log: QueryLog::from_queries(queries),
-        qfg,
-    })
-}
-
-/// Load a v1 body: deserialize the stored log and rebuild the columnar graph
-/// from it.  Ingest-from-empty equals the batch build the v1 writer
-/// serialized (property-tested), so translations served from the migrated
-/// state are identical.
-fn migrate_v1(body: &str, obscurity: Obscurity) -> Result<Snapshot, SnapshotError> {
-    let value = serde_json::parse_value(body).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let entries = value
-        .as_map()
-        .ok_or_else(|| SnapshotError::Corrupt("v1 body is not a JSON object".to_string()))?;
-    let log_value = entries
-        .iter()
-        .find(|(k, _)| k == "log")
-        .map(|(_, v)| v)
-        .ok_or_else(|| SnapshotError::Corrupt("v1 body is missing its log".to_string()))?;
-    let log = QueryLog::from_value(log_value)
-        .map_err(|e| SnapshotError::Corrupt(format!("v1 log: {e}")))?;
-    let qfg = QueryFragmentGraph::build(&log, obscurity);
+    .map_err(corrupt)?;
+    // Log ids never name a dead slot, so comparing the live slots covers
+    // every slot.
+    for (fragment, id) in qfg.interner().live() {
+        let (logged, counted) = (tally[id.index()], qfg.occurrences_by_id(id));
+        if logged != counted {
+            return Err(corrupt(format!(
+                "{logged} log entries name fragment {fragment}, but qfg/occurrences counts \
+                 {counted}"
+            )));
+        }
+    }
     Ok(Snapshot { log, qfg })
 }
 
@@ -529,83 +614,12 @@ fn parse_obscurity(name: &str) -> Option<Obscurity> {
     Obscurity::ALL.into_iter().find(|o| o.name() == name)
 }
 
-/// Write a snapshot in the retired v2 format: one monolithic JSON document
-/// holding the log and the *compacted* columnar graph.  Kept so migration
-/// tests (and the v2→v3 property suite) can produce byte-faithful v2
-/// artifacts with the writer this build no longer uses in production.
-pub fn write_snapshot_v2(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-) -> Result<(), SnapshotError> {
-    let header = format!("{SNAPSHOT_MAGIC} v2 obscurity={}\n", qfg.obscurity().name());
-    let body_value = serde::Value::Map(vec![
-        ("log".to_string(), serde::Serialize::to_value(log)),
-        ("qfg".to_string(), serde::Serialize::to_value(qfg)),
-    ]);
-    let body =
-        serde_json::to_string(&body_value).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    fs::write(path, header + &body)?;
-    Ok(())
-}
-
-/// Write a snapshot in the retired v1 format: `n_v` as `[fragment, count]`
-/// pairs and `n_e` as `[[fragment, fragment], count]` pairs, both in the
-/// canonical serde ordering the old derived writer produced.  Kept only so
-/// tests can prove the migration path against byte-faithful v1 artifacts.
-#[cfg(test)]
-pub(crate) fn write_snapshot_v1(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-) -> Result<(), SnapshotError> {
-    use serde::{canonical_cmp, Value};
-    let header = format!("{SNAPSHOT_MAGIC} v1 obscurity={}\n", qfg.obscurity().name());
-    let mut occurrence_pairs: Vec<Value> = qfg
-        .fragments()
-        .map(|(fragment, count)| Value::Seq(vec![fragment.to_value(), Value::U64(count)]))
-        .collect();
-    occurrence_pairs.sort_by(canonical_cmp);
-    let mut co_occurrence_pairs: Vec<Value> = qfg
-        .co_occurrence_entries()
-        .into_iter()
-        .map(|(a, b, count)| {
-            // The v1 map key was the pair with the lexicographically smaller
-            // fragment first.
-            let (first, second) = if a <= b { (a, b) } else { (b, a) };
-            Value::Seq(vec![
-                Value::Seq(vec![first.to_value(), second.to_value()]),
-                Value::U64(count),
-            ])
-        })
-        .collect();
-    co_occurrence_pairs.sort_by(canonical_cmp);
-    let qfg_value = Value::Map(vec![
-        ("obscurity".to_string(), qfg.obscurity().to_value()),
-        ("occurrences".to_string(), Value::Seq(occurrence_pairs)),
-        (
-            "co_occurrences".to_string(),
-            Value::Seq(co_occurrence_pairs),
-        ),
-        (
-            "query_count".to_string(),
-            Value::U64(qfg.query_count() as u64),
-        ),
-    ]);
-    let body_value = Value::Map(vec![
-        ("log".to_string(), log.to_value()),
-        ("qfg".to_string(), qfg_value),
-    ]);
-    let body =
-        serde_json::to_string(&body_value).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    fs::write(path, header + &body)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::path::PathBuf;
+    use templar_core::QueryLog;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -613,7 +627,7 @@ mod tests {
         p
     }
 
-    fn sample_state(obscurity: Obscurity) -> (QueryLog, QueryFragmentGraph) {
+    fn sample_state(obscurity: Obscurity) -> (FragmentLog, QueryFragmentGraph) {
         let (log, skipped) = QueryLog::from_sql([
             "SELECT p.title FROM publication p WHERE p.year > 2000",
             "SELECT p.title FROM publication p, journal j WHERE j.name = 'TKDE' AND p.jid = j.jid",
@@ -621,7 +635,7 @@ mod tests {
         ]);
         assert_eq!(skipped, 0);
         let qfg = QueryFragmentGraph::build(&log, obscurity);
-        (log, qfg)
+        (FragmentLog::from_log(&log, obscurity), qfg)
     }
 
     #[test]
@@ -642,8 +656,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_pending_runs_without_compacting() {
-        // The v2 writer compacted a clone of the graph; the v3 writer
-        // serializes pending tiered runs verbatim, so a snapshot taken
+        // The writer serializes pending tiered runs verbatim, so a snapshot taken
         // mid-churn restores with the same pending work.
         let (log, mut qfg) = sample_state(Obscurity::NoConstOp);
         let mut log = log;
@@ -677,8 +690,9 @@ mod tests {
         let (log_a, qfg_a) = sample_state(Obscurity::NoConstOp);
         let (extra, _) = QueryLog::from_sql(["SELECT p.year FROM publication p"]);
         let mut log_b = log_a.clone();
+        let mut qfg_b = qfg_a.clone();
         log_b.push(extra.queries()[0].clone());
-        let qfg_b = QueryFragmentGraph::build(&log_b, Obscurity::NoConstOp);
+        qfg_b.ingest(&extra.queries()[0]);
 
         let dir =
             std::env::temp_dir().join(format!("templar-snap-concurrent-{}", std::process::id()));
@@ -733,7 +747,7 @@ mod tests {
         write_snapshot_with_watermark(&path, &log, &qfg, Some(42)).unwrap();
         let text = fs::read(&path).unwrap();
         assert!(
-            text.starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp watermark=42 sections=6\n")
+            text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp watermark=42 sections=6\n")
         );
         let (snapshot, watermark) =
             read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
@@ -748,7 +762,7 @@ mod tests {
         // A mangled watermark token is corruption, not silently 0.
         fs::write(
             &path,
-            "TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp watermark=banana\n{}",
+            "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp watermark=banana sections=6\n",
         )
         .unwrap();
         assert!(matches!(
@@ -759,48 +773,12 @@ mod tests {
     }
 
     #[test]
-    fn written_snapshots_carry_the_v3_header() {
+    fn written_snapshots_carry_the_v4_header() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v3header");
+        let path = temp_path("v4header");
         write_snapshot(&path, &log, &qfg).unwrap();
         let text = fs::read(&path).unwrap();
-        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp sections=6\n"));
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_snapshots_still_load_natively() {
-        let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v2load");
-        write_snapshot_v2(&path, &log, &qfg).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp\n"));
-        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(snapshot.log, log);
-        assert_eq!(snapshot.qfg, qfg);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_migrate_to_identical_state() {
-        let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v1migrate");
-        write_snapshot_v1(&path, &log, &qfg).unwrap();
-        let migrated = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(migrated.log, log);
-        assert_eq!(migrated.qfg, qfg, "migrated counts must be identical");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_respect_the_obscurity_gate() {
-        let (log, qfg) = sample_state(Obscurity::NoConst);
-        let path = temp_path("v1gate");
-        write_snapshot_v1(&path, &log, &qfg).unwrap();
-        assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
-            Err(SnapshotError::ObscurityMismatch { .. })
-        ));
+        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n"));
         fs::remove_file(&path).ok();
     }
 
@@ -837,8 +815,22 @@ mod tests {
             read_snapshot(&path, Obscurity::Full),
             Err(SnapshotError::UnsupportedVersion { found: 0, .. })
         ));
+        // The retired formats are rejected, not migrated.
+        for (retired, header) in [
+            (1, "TEMPLAR-SNAPSHOT v1 obscurity=Full\n{}"),
+            (2, "TEMPLAR-SNAPSHOT v2 obscurity=Full\n{}"),
+            (3, "TEMPLAR-SNAPSHOT v3 obscurity=Full sections=6\n"),
+        ] {
+            fs::write(&path, header).unwrap();
+            match read_snapshot(&path, Obscurity::Full) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (retired, SNAPSHOT_VERSION));
+                }
+                other => panic!("v{retired}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
         // A header with no newline within the scan bound is not a snapshot.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v3 obscurity=Full sections=6").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Full sections=6").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::Full),
             Err(SnapshotError::BadMagic)
@@ -851,7 +843,7 @@ mod tests {
         let path = temp_path("corrupt");
         fs::write(
             &path,
-            "TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp\n{this is not json",
+            "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n{this is not a section",
         )
         .unwrap();
         assert!(matches!(
@@ -865,19 +857,19 @@ mod tests {
     fn corrupt_header_is_rejected() {
         let path = temp_path("corrupt-header");
         // Version present but obscurity mangled.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v2 obscurity=Sideways\n{}").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Sideways sections=6\n").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // Obscurity field missing entirely.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v2\n{}").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4\n").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
-        // A v3 header without its section count cannot be read.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp\n").unwrap();
+        // A header without its section count cannot be read.
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp\n").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
@@ -885,26 +877,63 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// Frame one section around a raw payload, with a valid CRC.
+    fn frame(name: &str, payload: &[u8]) -> Vec<u8> {
+        let mut body = (name.len() as u16).to_le_bytes().to_vec();
+        body.extend_from_slice(name.as_bytes());
+        body.extend_from_slice(payload);
+        let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&crc32(&body).to_le_bytes());
+        framed.extend_from_slice(&body);
+        framed
+    }
+
+    /// Split a snapshot into its header line and its decoded sections.
+    fn split_sections(bytes: &[u8]) -> (Vec<u8>, Vec<(String, Value)>) {
+        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut body = Sections {
+            reader: &bytes[header_end..],
+            remaining: (bytes.len() - header_end) as u64,
+        };
+        let mut sections = Vec::new();
+        while body.remaining > 0 {
+            sections.push(body.next().unwrap());
+        }
+        (bytes[..header_end].to_vec(), sections)
+    }
+
+    /// Reassemble a snapshot from a header and sections, each re-framed
+    /// with a valid CRC — so a tampered payload reaches the decoder.
+    fn join_sections(header: &[u8], sections: &[(String, Value)]) -> Vec<u8> {
+        let mut bytes = header.to_vec();
+        for (name, payload) in sections {
+            let mut encoded = Vec::new();
+            encode_value(payload, &mut encoded);
+            bytes.extend(frame(name, &encoded));
+        }
+        bytes
+    }
+
+    fn section_mut<'a>(sections: &'a mut [(String, Value)], name: &str) -> &'a mut Value {
+        &mut sections.iter_mut().find(|(n, _)| n == name).unwrap().1
+    }
+
     #[test]
     fn truncated_csr_is_rejected_as_corrupt() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
         let path = temp_path("truncated-csr");
-        write_snapshot_v2(&path, &log, &qfg).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
+        write_snapshot(&path, &log, &qfg).unwrap();
         // Drop one entry from the counts column: offsets now promise more
         // edges than the columns hold.
-        let truncated = {
-            let marker = "\"counts\":[";
-            let start = text.find(marker).expect("counts column present") + marker.len();
-            let end = text[start..].find(']').unwrap() + start;
-            let column = &text[start..end];
-            let shorter = match column.rfind(',') {
-                Some(last_comma) => &column[..last_comma],
-                None => "",
-            };
-            format!("{}{}{}", &text[..start], shorter, &text[end..])
+        let (header, mut sections) = split_sections(&fs::read(&path).unwrap());
+        let Value::Map(fields) = &mut section_mut(&mut sections, "qfg/adjacency") else {
+            panic!("adjacency section is a map")
         };
-        fs::write(&path, truncated).unwrap();
+        let Some((_, Value::Seq(counts))) = fields.iter_mut().find(|(k, _)| k == "counts") else {
+            panic!("counts column present")
+        };
+        counts.pop();
+        fs::write(&path, join_sections(&header, &sections)).unwrap();
         match read_snapshot(&path, Obscurity::NoConstOp) {
             Err(SnapshotError::Corrupt(detail)) => {
                 assert!(detail.contains("truncated CSR"), "detail was: {detail}")
@@ -914,7 +943,7 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
-    /// Walk the section frames of a v3 snapshot, returning the byte offset
+    /// Walk the section frames of a snapshot, returning the byte offset
     /// where each section ends (the first offset is the end of the header).
     fn section_boundaries(bytes: &[u8]) -> Vec<usize> {
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
@@ -981,187 +1010,7 @@ mod tests {
         fs::remove_file(&torn).ok();
     }
 
-    /// The end-to-end migration proof: a service state persisted with the
-    /// old v1 writer restores through the current loader and serves
-    /// *identical* translations (queries and scores) to the same state
-    /// persisted as v3.
-    #[test]
-    fn v1_snapshot_restores_and_serves_identically_under_v3() {
-        use crate::config::ServiceConfig;
-        use crate::server::TemplarService;
-        use relational::Database;
-        use std::sync::Arc;
-        use templar_core::TemplarConfig;
-
-        let db = Arc::new(academic_db());
-        let (log, skipped) = QueryLog::from_sql([
-            "SELECT p.title FROM publication p WHERE p.year > 1995",
-            "SELECT j.name FROM journal j",
-            "SELECT p.title FROM publication p, journal j WHERE j.name = 'TKDE' AND p.jid = j.jid",
-        ]);
-        assert_eq!(skipped, 0);
-        let qfg = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-        let v1_path = temp_path("serve-v1");
-        let v3_path = temp_path("serve-v3");
-        write_snapshot_v1(&v1_path, &log, &qfg).unwrap();
-        write_snapshot(&v3_path, &log, &qfg).unwrap();
-
-        let nlq = papers_after_2000();
-        let from_v1 = TemplarService::spawn_from_snapshot(
-            Arc::clone(&db),
-            &v1_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .expect("v1 snapshots must keep loading via the migration path");
-        let from_v3 = TemplarService::spawn_from_snapshot(
-            Arc::<Database>::clone(&db),
-            &v3_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let a = from_v1.translate(&nlq).unwrap();
-        let b = from_v3.translate(&nlq).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query.to_string(), y.query.to_string());
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
-        // Re-saving the migrated state produces a v3 snapshot.
-        from_v1.save_snapshot(&v1_path).unwrap();
-        let text = fs::read(&v1_path).unwrap();
-        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v3 "));
-        fs::remove_file(&v1_path).ok();
-        fs::remove_file(&v3_path).ok();
-    }
-
-    fn academic_db() -> relational::Database {
-        use relational::{DataType, Database, Schema};
-        let schema = Schema::builder("academic")
-            .relation(
-                "publication",
-                &[
-                    ("pid", DataType::Integer),
-                    ("title", DataType::Text),
-                    ("year", DataType::Integer),
-                    ("jid", DataType::Integer),
-                ],
-                Some("pid"),
-            )
-            .relation(
-                "journal",
-                &[("jid", DataType::Integer), ("name", DataType::Text)],
-                Some("jid"),
-            )
-            .foreign_key("publication", "jid", "journal", "jid")
-            .build();
-        let mut db = Database::new(schema);
-        db.insert(
-            "publication",
-            vec![1.into(), "Query Processing".into(), 2003.into(), 1.into()],
-        )
-        .unwrap();
-        db.insert("journal", vec![1.into(), "TKDE".into()]).unwrap();
-        db
-    }
-
-    fn papers_after_2000() -> nlidb::Nlq {
-        use sqlparse::BinOp;
-        use templar_core::{Keyword, KeywordMetadata};
-        nlidb::Nlq::new(
-            "Return the papers after 2000",
-            vec![
-                (Keyword::new("papers"), KeywordMetadata::select()),
-                (
-                    Keyword::new("after 2000"),
-                    KeywordMetadata::filter_with_op(BinOp::Gt),
-                ),
-            ],
-            vec![],
-        )
-    }
-
-    /// A snapshot written by the *pre-refactor* build (checked in as a test
-    /// fixture, byte-for-byte as its v2 writer produced it) must keep
-    /// loading and serve byte-identical top-3 translations to a freshly
-    /// built state over the same log.
-    #[test]
-    fn pre_refactor_v2_fixture_serves_byte_identical_translations() {
-        use crate::config::ServiceConfig;
-        use crate::server::TemplarService;
-        use std::sync::Arc;
-        use templar_core::TemplarConfig;
-
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests")
-            .join("data")
-            .join("pre_refactor_v2.snapshot");
-        let db = Arc::new(academic_db());
-        let snapshot = read_snapshot(&fixture, Obscurity::NoConstOp)
-            .expect("the pre-refactor fixture must keep loading");
-        let from_fixture = TemplarService::spawn_from_snapshot(
-            Arc::clone(&db),
-            &fixture,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        // The same log, built fresh through the current code path.
-        let fresh_qfg = QueryFragmentGraph::build(&snapshot.log, Obscurity::NoConstOp);
-        assert_eq!(fresh_qfg, snapshot.qfg);
-        let fresh_path = temp_path("fixture-fresh");
-        write_snapshot(&fresh_path, &snapshot.log, &fresh_qfg).unwrap();
-        let from_fresh = TemplarService::spawn_from_snapshot(
-            db,
-            &fresh_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let nlq = papers_after_2000();
-        let a = from_fixture.translate(&nlq).unwrap();
-        let b = from_fresh.translate(&nlq).unwrap();
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query.to_string(), y.query.to_string());
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "fixture-served scores must be byte-identical"
-            );
-        }
-        fs::remove_file(&fresh_path).ok();
-    }
-
-    #[test]
-    fn columnar_snapshots_are_smaller_than_v1() {
-        // The columnar sections write each fragment once; the v1 pair
-        // encoding repeated fragments once per incident edge.
-        let mut sql: Vec<String> = Vec::new();
-        for year in 0..40 {
-            sql.push(format!(
-                "SELECT p.title, j.name FROM publication p, journal j \
-                 WHERE p.jid = j.jid AND p.year > {year}"
-            ));
-        }
-        let (log, _) = QueryLog::from_sql(sql.iter().map(String::as_str));
-        let qfg = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-        let v1 = temp_path("size-v1");
-        let v3 = temp_path("size-v3");
-        write_snapshot_v1(&v1, &log, &qfg).unwrap();
-        let v3_len = write_snapshot(&v3, &log, &qfg).unwrap();
-        let v1_len = fs::metadata(&v1).unwrap().len();
-        assert!(
-            v3_len < v1_len,
-            "v3 snapshot ({v3_len} B) should be smaller than v1 ({v1_len} B)"
-        );
-        fs::remove_file(&v1).ok();
-        fs::remove_file(&v3).ok();
-    }
-
-    /// Write-side torn matrix for the sectioned v3 snapshot: crash the
+    /// Write-side torn matrix for the sectioned snapshot: crash the
     /// storage at a dense sweep of cumulative byte budgets (covering every
     /// section boundary of the write stream) and at every non-write fault
     /// site (temp-file create, fsync, rename, directory fsync).  An
@@ -1290,5 +1139,212 @@ mod tests {
         }
 
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A state whose graph has a dead slot: the `publication.year` SELECT
+    /// fragment is unique to the oldest query, which is then evicted.
+    fn state_with_dead_slot() -> (FragmentLog, QueryFragmentGraph) {
+        let (queries, skipped) = QueryLog::from_sql([
+            "SELECT p.year FROM publication p",
+            "SELECT p.title FROM publication p WHERE p.year > 2000",
+            "SELECT p.title FROM publication p, journal j WHERE j.name = 'TKDE' AND p.jid = j.jid",
+            "SELECT j.name FROM journal j",
+        ]);
+        assert_eq!(skipped, 0);
+        let mut log = FragmentLog::new(Obscurity::NoConstOp);
+        let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
+        for query in queries.queries() {
+            qfg.ingest(query);
+            log.push(query.clone());
+        }
+        let evicted = log.pop_oldest().unwrap();
+        assert!(qfg.remove_fragments(&evicted));
+        (log, qfg)
+    }
+
+    /// Every way a log section can disagree with itself or with the graph
+    /// comes back as a typed `Corrupt`, never a panic or a silently wrong
+    /// log.
+    #[test]
+    fn damaged_log_sections_are_rejected_as_corrupt() {
+        let (log, qfg) = state_with_dead_slot();
+        let path = temp_path("damaged-log");
+        write_snapshot(&path, &log, &qfg).unwrap();
+        let pristine = fs::read(&path).unwrap();
+        let (header, sections) = split_sections(&pristine);
+        assert_eq!(join_sections(&header, &sections), pristine);
+        let mut scratch = sections.clone();
+        let table = section_mut(&mut scratch, "qfg/fragments").as_seq().unwrap();
+        let table_len = table.len() as u64;
+        let dead = table
+            .iter()
+            .position(|slot| *slot == Value::Null)
+            .expect("the evicted query left a dead slot") as u64;
+        let expect_corrupt = |case: &str, bytes: Vec<u8>, needle: &str| {
+            fs::write(&path, bytes).unwrap();
+            match read_snapshot(&path, Obscurity::NoConstOp) {
+                Err(SnapshotError::Corrupt(detail)) => {
+                    assert!(detail.contains(needle), "{case}: detail was: {detail}")
+                }
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        };
+        let edit_log = |edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut edited = sections.clone();
+            let Value::Seq(entries) = section_mut(&mut edited, "log/0") else {
+                panic!("log chunk is a sequence")
+            };
+            edit(entries);
+            join_sections(&header, &edited)
+        };
+        let edit_entry = |edit: &dyn Fn(&mut Vec<Value>)| {
+            edit_log(&|entries| {
+                let Value::Seq(ids) = &mut entries[0] else {
+                    panic!("log entry is a sequence")
+                };
+                assert!(ids.len() >= 2, "entry 0 needs two ids to reorder");
+                edit(ids);
+            })
+        };
+        expect_corrupt(
+            "id beyond the table",
+            edit_entry(&|ids| ids.push(Value::U64(table_len))),
+            "beyond",
+        );
+        expect_corrupt(
+            "id of a dead slot",
+            edit_entry(&|ids| {
+                ids.push(Value::U64(dead));
+                ids.sort_by_key(|id| id.as_u64());
+            }),
+            "dead fragment slot",
+        );
+        expect_corrupt(
+            "unsorted ids",
+            edit_entry(&|ids| ids.reverse()),
+            "not strictly ascending",
+        );
+        expect_corrupt(
+            "repeated id",
+            edit_entry(&|ids| ids.insert(0, ids[0].clone())),
+            "not strictly ascending",
+        );
+        expect_corrupt(
+            "tallies disagree with qfg/occurrences",
+            edit_entry(&|ids| {
+                ids.pop();
+            }),
+            "qfg/occurrences",
+        );
+        expect_corrupt(
+            "fewer entries than meta.log_len",
+            edit_log(&|entries| {
+                entries.pop();
+            }),
+            "meta promises",
+        );
+        expect_corrupt(
+            "more entries than meta.log_len",
+            edit_log(&|entries| entries.push(entries[0].clone())),
+            "more than",
+        );
+        let mut edited = sections.clone();
+        let Value::Map(meta) = section_mut(&mut edited, "meta") else {
+            panic!("meta is a map")
+        };
+        for (key, value) in meta.iter_mut() {
+            if key == "query_count" {
+                *value = Value::U64(value.as_u64().unwrap() + 1);
+            }
+        }
+        expect_corrupt(
+            "meta.log_len differs from query_count",
+            join_sections(&header, &edited),
+            "graph of",
+        );
+        // A varint count of ~2^63 entries in a CRC-valid frame: the codec's
+        // bound by the remaining bytes rejects it before any allocation.
+        let mut hostile = header.clone();
+        for (name, payload) in &sections {
+            if name == "log/0" {
+                hostile.extend(frame(
+                    name,
+                    &[0x07, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+                ));
+            } else {
+                let mut encoded = Vec::new();
+                encode_value(payload, &mut encoded);
+                hostile.extend(frame(name, &encoded));
+            }
+        }
+        expect_corrupt("hostile varint count", hostile, "log/0");
+        // The pristine bytes still load, with the evicted entry gone.
+        fs::write(&path, &pristine).unwrap();
+        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        assert_eq!(snapshot.log, log);
+        assert_eq!(snapshot.qfg, qfg);
+        fs::remove_file(&path).ok();
+    }
+
+    /// A 1 GiB section claimed by a file of a few dozen bytes is a torn
+    /// snapshot, reported before the reader allocates the section buffer.
+    #[test]
+    fn a_section_longer_than_the_file_is_torn_before_allocating() {
+        let path = temp_path("huge-section");
+        let mut bytes = b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n".to_vec();
+        bytes.extend_from_slice(&(MAX_SECTION_BYTES - 1).to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(b"meta");
+        fs::write(&path, &bytes).unwrap();
+        match read_snapshot(&path, Obscurity::NoConstOp) {
+            Err(SnapshotError::Corrupt(detail)) => {
+                assert!(detail.contains("torn"), "detail was: {detail}")
+            }
+            other => panic!("expected a torn snapshot, got {other:?}"),
+        }
+        fs::remove_file(&path).ok();
+    }
+
+    /// The writer refuses a log that does not belong to the graph: a logged
+    /// fragment without a live id, or a log at another obscurity level.
+    #[test]
+    fn a_log_the_graph_does_not_cover_is_a_typed_write_error() {
+        let (log, _) = sample_state(Obscurity::NoConstOp);
+        let (other, _) = QueryLog::from_sql(["SELECT j.name FROM journal j"]);
+        let qfg = QueryFragmentGraph::build(&other, Obscurity::NoConstOp);
+        let path = temp_path("no-live-id");
+        match write_snapshot(&path, &log, &qfg) {
+            Err(SnapshotError::Corrupt(detail)) => {
+                assert!(detail.contains("no live id"), "detail was: {detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert!(!path.exists(), "a refused write publishes nothing");
+        let (coarser, _) = sample_state(Obscurity::NoConst);
+        assert!(matches!(
+            write_snapshot(&path, &coarser, &qfg),
+            Err(SnapshotError::ObscurityMismatch { .. })
+        ));
+    }
+
+    /// Entries with the same fragment set share one allocation after a
+    /// load, and a re-save of a loaded snapshot is byte-identical.
+    #[test]
+    fn loaded_logs_share_entries_and_resave_byte_identically() {
+        let (mut log, mut qfg) = sample_state(Obscurity::NoConstOp);
+        let (again, _) = QueryLog::from_sql(["SELECT j.name FROM journal j"]);
+        for _ in 0..3 {
+            log.push(again.queries()[0].clone());
+            qfg.ingest(&again.queries()[0]);
+        }
+        let path = temp_path("shared-entries");
+        write_snapshot(&path, &log, &qfg).unwrap();
+        let first = fs::read(&path).unwrap();
+        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        let entries = snapshot.log.entries();
+        assert!(Arc::ptr_eq(&entries[2], &entries[5]));
+        write_snapshot(&path, &snapshot.log, &snapshot.qfg).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), first);
+        fs::remove_file(&path).ok();
     }
 }

@@ -8,8 +8,9 @@
 //! * crash recovery of a scaled log replays the journal in bounded-memory
 //!   batches — the peak decoded batch stays within the configured budget —
 //!   and the recovered service answers byte-identically,
-//! * v2 snapshots migrate through the v3 load path losslessly at any
-//!   graph shape (seeded sweep).
+//! * the checkpointed v4 snapshot stays within 32 bytes per log entry,
+//! * v4 snapshots round-trip losslessly, and re-save byte-identically, at
+//!   any graph shape (seeded sweep).
 //!
 //! The 100× run executes in the default test tier; the full 1000× run is
 //! `#[ignore]`d locally and driven explicitly (in release mode) by CI's
@@ -22,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use templar_core::{Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
+use templar_core::{FragmentLog, Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
 use templar_service::{snapshot, ServiceConfig, TemplarService};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -124,10 +125,19 @@ fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
         "recovery must be byte-identical at {factor}x scale"
     );
 
-    // A checkpoint of the recovered state lands a v3 snapshot whose size is
+    // A checkpoint of the recovered state lands a v4 snapshot whose size is
     // surfaced as a gauge; a second recovery then replays (almost) nothing.
+    // Each log entry is stored as the slot ids of its fragments, so the
+    // whole snapshot stays within a few bytes per entry (a deterministic
+    // count; storing SQL ASTs cost about 817 B per entry).
     recovered.checkpoint().unwrap();
-    assert!(recovered.metrics().snapshot_body_bytes > 0);
+    let snapshot_bytes = recovered.metrics().snapshot_body_bytes;
+    assert!(snapshot_bytes > 0);
+    assert!(
+        snapshot_bytes <= 32 * scaled.len() as u64,
+        "the snapshot holds {snapshot_bytes} B for {} log entries: over 32 B per entry",
+        scaled.len()
+    );
     let image2 = temp_dir(&format!("recovery-{factor}x-image2"));
     copy_dir(&image, &image2);
     drop(recovered);
@@ -220,25 +230,23 @@ fn tiered_publish_cost_tracks_recent_churn_not_total_pending() {
     assert!(graph.is_compacted());
 }
 
-/// v2 → v3 migration: any graph shape written with the retired v2 writer
-/// loads through the current reader into the observationally identical
-/// state, and re-saving it as v3 round-trips verbatim.  A seeded sweep
-/// over random log subsets stands in for a proptest (the service crate has
-/// no proptest dependency).
+/// v4 round trip: any graph shape — a random log slice, some entries
+/// evicted so freed slots and pending deltas are part of the written shape
+/// — loads back into the equal log and the observationally identical graph,
+/// and re-saving the loaded state reproduces the file byte for byte.  A
+/// seeded sweep over random log subsets stands in for a proptest (the
+/// service crate has no proptest dependency).
 #[test]
-fn v2_snapshots_migrate_losslessly_across_random_graph_shapes() {
+fn v4_snapshots_round_trip_across_random_graph_shapes() {
     let mas = Dataset::mas();
     let full: Vec<_> = mas.full_log().queries().iter().cloned().collect();
-    let dir = temp_dir("v2-migration");
+    let dir = temp_dir("v4-round-trip");
     fs::create_dir_all(&dir).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for round in 0..16 {
-        // A random-sized, random-offset slice, ingested in order; some
-        // rounds also remove a few queries so freed slots and pending
-        // deltas are part of the written shape.
         let len = (rng.next_u64() as usize % full.len()).max(1);
         let start = rng.next_u64() as usize % (full.len() - len + 1);
-        let mut log = QueryLog::new();
+        let mut log = FragmentLog::new(Obscurity::NoConstOp);
         let mut graph = QueryFragmentGraph::empty(Obscurity::NoConstOp);
         for query in &full[start..start + len] {
             log.push(query.clone());
@@ -246,32 +254,24 @@ fn v2_snapshots_migrate_losslessly_across_random_graph_shapes() {
         }
         for _ in 0..rng.next_u64() % 4 {
             if let Some(victim) = log.pop_oldest() {
-                assert!(graph.remove(&victim));
+                assert!(graph.remove_fragments(&victim));
             }
         }
-        let v2_path = dir.join(format!("round-{round}.v2.snapshot"));
-        snapshot::write_snapshot_v2(&v2_path, &log, &graph).unwrap();
-        let migrated = snapshot::read_snapshot(&v2_path, Obscurity::NoConstOp).unwrap();
+        let path = dir.join(format!("round-{round}.snapshot"));
+        snapshot::write_snapshot(&path, &log, &graph).unwrap();
+        let written = fs::read(&path).unwrap();
+        let loaded = snapshot::read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        assert_eq!(loaded.log, log, "round {round}: the log must round-trip");
         assert_eq!(
-            migrated.log, log,
-            "round {round}: the log must survive migration"
+            loaded.qfg, graph,
+            "round {round}: the graph must round-trip observationally"
         );
+        let resaved = dir.join(format!("round-{round}.resaved.snapshot"));
+        snapshot::write_snapshot(&resaved, &loaded.log, &loaded.qfg).unwrap();
         assert_eq!(
-            migrated.qfg, graph,
-            "round {round}: the migrated graph must be observationally identical"
-        );
-        // Re-save as v3 and load again: still identical, now via the
-        // sectioned path.
-        let v3_path = dir.join(format!("round-{round}.v3.snapshot"));
-        snapshot::write_snapshot(&v3_path, &migrated.log, &migrated.qfg).unwrap();
-        let reread = snapshot::read_snapshot(&v3_path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(
-            reread.log, log,
-            "round {round}: v3 re-save must round-trip the log"
-        );
-        assert_eq!(
-            reread.qfg, graph,
-            "round {round}: v3 re-save must round-trip the graph"
+            fs::read(&resaved).unwrap(),
+            written,
+            "round {round}: re-saving a loaded snapshot must be byte-identical"
         );
     }
     fs::remove_dir_all(&dir).ok();
